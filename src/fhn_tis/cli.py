@@ -76,16 +76,20 @@ def _build_integrator(args, cfg) -> IntegratorConfig:
     for k in d:
         if k not in ("method", "dt", "rel_tol", "abs_tol", "max_dt", "stride"):
             raise ConfigError(f"unknown integrator key: {k!r}", key=k)
-    method_name = getattr(args, "method", None) or d.get("method", "fixed")
-    stride = getattr(args, "stride", None) or d.get("stride", 10)
+
+    def pick(key, default):
+        # a flag overrides the config file, which overrides the default; an
+        # explicit 0 is kept, so that validation rejects it
+        val = getattr(args, key, None)
+        return d.get(key, default) if val is None else val
+
+    method_name = pick("method", "fixed")
+    stride = pick("stride", 10)
     if method_name == "fixed":
-        dt = getattr(args, "dt", None) or d.get("dt", 0.01)
-        method = FixedRK4(dt=dt)
+        method = FixedRK4(dt=pick("dt", 0.01))
     elif method_name == "adaptive":
-        method = AdaptiveRK45(
-            rel_tol=getattr(args, "rel_tol", None) or d.get("rel_tol", 1e-8),
-            abs_tol=getattr(args, "abs_tol", None) or d.get("abs_tol", 1e-8),
-            max_dt=getattr(args, "max_dt", None) or d.get("max_dt", 1.0))
+        method = AdaptiveRK45(rel_tol=pick("rel_tol", 1e-8), abs_tol=pick("abs_tol", 1e-8),
+                              max_dt=pick("max_dt", 1.0))
     else:
         raise ConfigError(f"unknown integrator method: {method_name!r}", key="method")
     return IntegratorConfig(method=method, sample_stride=int(stride))

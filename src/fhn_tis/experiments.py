@@ -7,9 +7,9 @@ kappa* is attached to each panel as the analytic overlay. Experiment 2 fixes
 one (kappa, epsilon) cell and sweeps a square of initial conditions, comparing
 the observed counts against the arc-based prediction.
 
-Cells are pure, independent work items scheduled over a thread pool (the
-compiled kernels release the GIL); results are assembled by index, so reruns
-are bit-identical regardless of scheduling.
+The cells of one call are integrated together in lockstep as one numpy
+ensemble (``_kernels.cosine_ensemble_spikes``), whose counts equal the scalar
+cell kernel's cell by cell, so reruns are bit-identical.
 """
 from __future__ import annotations
 
@@ -17,11 +17,9 @@ import dataclasses
 import enum
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -52,6 +50,13 @@ class ExplicitIC:
     state: State
 
 
+def _require_fixed_step(cfg: IntegratorConfig):
+    # sweep cells run on the fixed-step counting kernel only
+    if not isinstance(cfg.method, FixedRK4):
+        raise DomainError("sweeps and grids integrate with FixedRK4 only, "
+                          f"got {type(cfg.method).__name__}")
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """Settings for one heatmap run; ranges are (min, max, step), inclusive."""
@@ -75,6 +80,7 @@ class SweepSpec:
                 raise DomainError(f"{name} must satisfy 0 < min <= max, step > 0")
         if self.t_final <= 0.0:
             raise DomainError("t_final must be > 0")
+        _require_fixed_step(self.integrator)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -112,6 +118,7 @@ class GridSpec:
             raise DomainError("kappa, epsilon, t_final must be > 0")
         if self.grid_points < 2 or self.extent <= 0.0:
             raise DomainError("grid_points must be >= 2 and extent > 0")
+        _require_fixed_step(self.integrator)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -133,18 +140,6 @@ def _axis(rng: tuple) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
-def _fixed_dt(cfg: IntegratorConfig) -> float:
-    # grid cells run on the fixed-step counting kernel; an adaptive request
-    # falls back to its max_dt as the fixed step
-    if isinstance(cfg.method, FixedRK4):
-        return cfg.method.dt
-    return cfg.method.max_dt
-
-
-def _pool_size() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
 def evaluate_prediction(p: Params, kappa: float) -> Prediction:
     """Combined slow-limit verdict; the escape construction takes precedence."""
     try:
@@ -157,115 +152,118 @@ def evaluate_prediction(p: Params, kappa: float) -> Prediction:
     return Prediction.INDETERMINATE
 
 
-def _warm_kernel():
-    _kernels.cosine_cell_spikes(0.3, 0.3, 0.8, 0.5, 0.1, 0.1, 0.0, 0.0,
-                                1.0, 0.5, 0.0, -0.5)
+def _split_cells(counts, ok):
+    """Counts with -1 marking a diverged cell, and the diverged mask."""
+    return np.where(ok, counts, -1), ~ok
 
 
 def run_experiment1(spec: SweepSpec) -> list:
-    """Run one heatmap panel per amplitude pair in the spec."""
+    """Run one heatmap panel per amplitude pair in the spec.
+
+    The cells of all panels are integrated together as one ensemble, so each
+    panel's manifest ``wall_time_s`` is its own set-up time plus the whole
+    shared ensemble run.
+    """
     kappas = _axis(spec.kappa_range)
     epsilons = _axis(spec.epsilon_range)
-    dt = _fixed_dt(spec.integrator)
-    _warm_kernel()
-    results = []
+    dt = spec.integrator.method.dt
+    panels = []
     for (A, B) in spec.amplitude_list:
         t_start = time.perf_counter()
         p_geom = Params(A=A, B=B, beta=spec.beta, gamma=spec.gamma, epsilon=1.0)
-        region = classify_region(p_geom)
-        region_ok = region.equilibria_left_of_folds
+        region_ok = classify_region(p_geom).equilibria_left_of_folds
         try:
             kstar = kappa_threshold(p_geom)
         except RegionPreconditionError:
             kstar = math.nan
-        eq_top = equilibrium(p_geom, 1.0)
-        eq_bot = equilibrium(p_geom, -1.0)
         if isinstance(spec.ic_policy, ExplicitIC):
             v0, w0 = spec.ic_policy.state
         else:
-            v0, w0 = 0.0, eq_top.w_e
-        arm = eq_bot.v_e / 2.0
-        nk, ne = kappas.size, epsilons.size
-        counts = np.zeros((nk, ne), dtype=np.int64)
-        diverged = np.zeros((nk, ne), dtype=bool)
-
-        def cell(idx):
-            i, j = divmod(idx, ne)
-            eta = kappas[i] * epsilons[j]
-            cnt, ok, _, _ = _kernels.cosine_cell_spikes(
-                A, B, spec.beta, spec.gamma, epsilons[j], eta, v0, w0,
-                spec.t_final, dt, 0.0, arm)
-            return idx, cnt, ok
-
-        with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-            for idx, cnt, ok in pool.map(cell, range(nk * ne), chunksize=16):
-                i, j = divmod(idx, ne)
-                if ok:
-                    counts[i, j] = cnt
-                else:
-                    counts[i, j] = -1
-                    diverged[i, j] = True
+            v0, w0 = 0.0, equilibrium(p_geom, 1.0).w_e
+        arm = equilibrium(p_geom, -1.0).v_e / 2.0
+        panels.append((A, B, v0, w0, arm, kstar, region_ok,
+                       time.perf_counter() - t_start))
+    t_start = time.perf_counter()
+    # per-panel columns of shape (panels, 1, 1) against the (kappa, epsilon) grid
+    A, B, v0, w0, arm = np.array([pn[:5] for pn in panels]).T[:, :, None, None]
+    counts, ok = _kernels.cosine_ensemble_spikes(
+        A, B, spec.beta, spec.gamma, epsilons, kappas[:, None] * epsilons,
+        v0, w0, arm, spec.t_final, dt, 0.0)
+    ensemble_s = time.perf_counter() - t_start
+    results = []
+    for k, (A, B, v0, w0, arm, kstar, region_ok, setup_s) in enumerate(panels):
+        panel_counts, diverged = _split_cells(counts[k], ok[k])
         manifest = {
             "A": A, "B": B, "beta": spec.beta, "gamma": spec.gamma,
             "t_final": spec.t_final, "dt": dt,
             "ic": [float(v0), float(w0)], "arm_level": arm, "fire_level": 0.0,
             "kappa_range": list(spec.kappa_range),
             "epsilon_range": list(spec.epsilon_range),
-            "grid_shape": [int(nk), int(ne)],
+            "grid_shape": [int(kappas.size), int(epsilons.size)],
             "kappa_star": kstar,
             "region_ok": bool(region_ok),
             "tool_version": __version__,
             "numba": _kernels.NUMBA_ENABLED,
-            "wall_time_s": time.perf_counter() - t_start,
+            "wall_time_s": setup_s + ensemble_s,
         }
         results.append(SweepResult(
             A=A, B=B, kappa_values=kappas.copy(), epsilon_values=epsilons.copy(),
-            counts=counts, tonic=(counts >= 2), diverged=diverged,
+            counts=panel_counts, tonic=(panel_counts >= 2), diverged=diverged,
             kappa_star=kstar, manifest=manifest))
     return results
 
 
 def run_experiment2(settings_list) -> list:
-    """Run one initial-condition grid per settings entry."""
-    _warm_kernel()
-    results = []
-    for gs in settings_list:
+    """Run one initial-condition grid per settings entry.
+
+    The cells of all grids that share ``(t_final, dt)`` are integrated together
+    as one ensemble, so each grid's manifest ``wall_time_s`` is its own set-up
+    time plus the whole shared ensemble run.
+    """
+    settings_list = list(settings_list)
+    setups = []
+    groups = {}
+    for k, gs in enumerate(settings_list):
         t_start = time.perf_counter()
         p = Params(A=gs.A, B=gs.B, beta=gs.beta, gamma=gs.gamma, epsilon=gs.epsilon)
         prediction = evaluate_prediction(p, gs.kappa)
-        eta = gs.kappa * gs.epsilon
         arm = equilibrium(p, -1.0).v_e / 2.0
-        dt = _fixed_dt(gs.integrator)
         axis = np.linspace(-gs.extent, gs.extent, gs.grid_points)
-        n = gs.grid_points
-        counts = np.zeros((n, n), dtype=np.int64)
-        diverged = np.zeros((n, n), dtype=bool)
-
-        def cell(idx):
-            i, j = divmod(idx, n)
-            cnt, ok, _, _ = _kernels.cosine_cell_spikes(
-                gs.A, gs.B, gs.beta, gs.gamma, gs.epsilon, eta,
-                axis[i], axis[j], gs.t_final, dt, 0.0, arm)
-            return idx, cnt, ok
-
-        with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-            for idx, cnt, ok in pool.map(cell, range(n * n), chunksize=16):
-                i, j = divmod(idx, n)
-                if ok:
-                    counts[i, j] = cnt
-                else:
-                    counts[i, j] = -1
-                    diverged[i, j] = True
+        setups.append((prediction, arm, axis, time.perf_counter() - t_start))
+        groups.setdefault((gs.t_final, gs.integrator.method.dt), []).append(k)
+    cells = [None] * len(settings_list)
+    for (t_final, dt), members in groups.items():
+        t_start = time.perf_counter()
+        grids = [settings_list[k] for k in members]
+        sizes = [gs.grid_points ** 2 for gs in grids]
+        per_grid = [(gs.A, gs.B, gs.beta, gs.gamma, gs.epsilon, gs.kappa * gs.epsilon,
+                     setups[k][1]) for k, gs in zip(members, grids)]
+        A, B, beta, gamma, eps, eta, arm = np.repeat(np.array(per_grid), sizes, axis=0).T
+        # cell (i, j) of a grid starts at (axis[i], axis[j])
+        axes = [setups[k][2] for k in members]
+        v0 = np.concatenate([np.repeat(ax, ax.size) for ax in axes])
+        w0 = np.concatenate([np.tile(ax, ax.size) for ax in axes])
+        counts, ok = _kernels.cosine_ensemble_spikes(
+            A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt, 0.0)
+        ensemble_s = time.perf_counter() - t_start
+        bounds = np.cumsum(sizes)[:-1]
+        for k, gs, c, good in zip(members, grids, np.split(counts, bounds),
+                                  np.split(ok, bounds)):
+            shape = (gs.grid_points, gs.grid_points)
+            cells[k] = _split_cells(c.reshape(shape), good.reshape(shape)) + (ensemble_s,)
+    results = []
+    for gs, (prediction, arm, axis, setup_s), (counts, diverged, ensemble_s) in zip(
+            settings_list, setups, cells):
         manifest = {
             "A": gs.A, "B": gs.B, "beta": gs.beta, "gamma": gs.gamma,
-            "kappa": gs.kappa, "epsilon": gs.epsilon, "eta": eta,
-            "t_final": gs.t_final, "dt": dt,
-            "grid_points": n, "extent": gs.extent,
+            "kappa": gs.kappa, "epsilon": gs.epsilon, "eta": gs.kappa * gs.epsilon,
+            "t_final": gs.t_final, "dt": gs.integrator.method.dt,
+            "grid_points": gs.grid_points, "extent": gs.extent,
             "arm_level": arm, "fire_level": 0.0,
             "prediction": prediction.value,
             "tool_version": __version__,
             "numba": _kernels.NUMBA_ENABLED,
-            "wall_time_s": time.perf_counter() - t_start,
+            "wall_time_s": setup_s + ensemble_s,
         }
         results.append(ICGridResult(
             settings=gs, v0_values=axis.copy(), w0_values=axis.copy(),

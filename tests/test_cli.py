@@ -89,6 +89,21 @@ def test_simulate_rejects_bad_drive_value(capsys):
     assert "c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--dt", "0"], "dt"),
+    (["--stride", "0"], "sample_stride"),
+    (["--method", "adaptive", "--max-dt", "0"], "max_dt"),
+])
+def test_simulate_rejects_zero_step_settings(flags, key, capsys):
+    # an explicit 0 must not fall back to the default value
+    argv = (["simulate"] + STD
+            + ["--drive", "frozen_constant", "--c", "0.5", "--t-final", "5"] + flags)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "samples=" not in captured.out
+
+
 def test_simulate_divergence_exit_code(capsys):
     argv = (["simulate"] + STD
             + ["--drive", "frozen_constant", "--c", "1.0", "--ic", "2", "0",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fhn_tis as ft
+from fhn_tis import _kernels
 from fhn_tis.errors import DomainError
 from fhn_tis.experiments import _axis
 
@@ -41,6 +42,46 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02,
                     grid_points=1)
+
+
+def test_specs_reject_adaptive_integrator():
+    # sweep cells run fixed-step RK4 only; an adaptive config is refused
+    # rather than run at its max_dt
+    adaptive = ft.IntegratorConfig(method=ft.AdaptiveRK45())
+    with pytest.raises(DomainError, match="FixedRK4"):
+        tiny_spec(integrator=adaptive)
+    with pytest.raises(DomainError, match="FixedRK4"):
+        ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02,
+                    integrator=adaptive)
+
+
+def test_runs_match_scalar_kernel_cell_by_cell():
+    # one ensemble spans both panels; the grids form two ensembles, split by
+    # horizon, with unequal grid sizes inside one of them
+    spec = tiny_spec(t_final=50.0, amplitude_list=((0.15, 0.15), (0.3, 0.3)))
+    for res in ft.run_experiment1(spec):
+        arm, (v0, w0) = res.manifest["arm_level"], res.manifest["ic"]
+        for i, kap in enumerate(res.kappa_values):
+            for j, eps in enumerate(res.epsilon_values):
+                c, ok, _, _ = _kernels.cosine_cell_spikes(
+                    res.A, res.B, 0.8, 0.5, float(eps), float(kap * eps), v0, w0,
+                    50.0, 0.01, 0.0, arm)
+                assert res.counts[i, j] == (c if ok else -1)
+    grids = [ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=2.0, epsilon=0.02,
+                         t_final=40.0, grid_points=3),
+             ft.GridSpec(A=0.2, B=0.25, beta=0.7, gamma=0.6, kappa=1.0, epsilon=0.1,
+                         t_final=25.0, grid_points=2, extent=3.0),
+             ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.05,
+                         t_final=40.0, grid_points=4)]
+    for gs, res in zip(grids, ft.run_experiment2(grids)):
+        assert res.counts.shape == (gs.grid_points, gs.grid_points)
+        for i, v0 in enumerate(res.v0_values):
+            for j, w0 in enumerate(res.w0_values):
+                c, ok, _, _ = _kernels.cosine_cell_spikes(
+                    gs.A, gs.B, gs.beta, gs.gamma, gs.epsilon, gs.kappa * gs.epsilon,
+                    float(v0), float(w0), gs.t_final, 0.01, 0.0,
+                    res.manifest["arm_level"])
+                assert res.counts[i, j] == (c if ok else -1)
 
 
 def test_evaluate_prediction_reference_points():

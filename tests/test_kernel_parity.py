@@ -1,4 +1,5 @@
-"""The compiled and pure-Python kernel paths must compute the same numbers."""
+"""Kernel paths that must compute the same numbers: compiled and pure-Python,
+and the numpy ensemble cell counter against the scalar one."""
 import importlib.util
 import math
 import os
@@ -113,3 +114,35 @@ def test_transport_arc_parity(pure):
     assert np.allclose(sa[:na], sb[:nb], atol=1e-12)
     assert np.allclose(va[:na], vb[:nb], atol=1e-12)
     assert np.allclose(wa[:na], wb[:nb], atol=1e-12)
+
+
+def test_ensemble_matches_scalar_cell_kernel():
+    # the lockstep ensemble must give the scalar kernel's counts and ok flags
+    # exactly, cell by cell
+    rng = np.random.default_rng(79)
+    n = 40
+    A, B = rng.uniform(0.1, 0.6, (2, n))
+    beta = rng.uniform(0.5, 0.9, n)
+    gamma = rng.uniform(0.3, 0.8, n)
+    eps = rng.uniform(0.01, 0.2, n)
+    eta = eps * rng.uniform(0.5, 4.0, n)
+    v0 = rng.uniform(-2.0, 2.0, n)
+    w0 = rng.uniform(-2.0, 2.0, n)
+    arm = rng.uniform(-0.6, -0.3, n)
+    v0[0] = 0.5                 # starts above the fire level: the count starts at 1
+    v0[1] = 40.0                # diverges under a coarse step
+    v0[2], w0[2] = -3.0, 1e18   # armed when v overflows to +inf: no spike there
+    diverged = set()
+    # the second horizon is no multiple of dt, so the last step is clipped
+    for t_final, dt in ((60.0, 0.01), (37.123, 0.05), (20.0, 0.5)):
+        counts, ok = fast.cosine_ensemble_spikes(A, B, beta, gamma, eps, eta,
+                                                 v0, w0, arm, t_final, dt, 0.0)
+        ref = [fast.cosine_cell_spikes(
+                   *(float(x[i]) for x in (A, B, beta, gamma, eps, eta, v0, w0)),
+                   t_final, dt, 0.0, float(arm[i])) for i in range(n)]
+        assert counts.tolist() == [c for c, _, _, _ in ref]
+        assert ok.tolist() == [bool(k) for _, k, _, _ in ref]
+        assert counts[0] >= 1
+        diverged |= set(np.flatnonzero(~ok).tolist())
+    assert {1, 2} <= diverged
+

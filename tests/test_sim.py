@@ -199,6 +199,21 @@ def test_divergence_reported_with_location():
     assert isinstance(err.state, tuple) and len(err.state) == 2
 
 
+def test_adaptive_rejects_overflowing_trial_step():
+    # from this start inside the box the first trial step at max_dt overflows
+    # the error norm; the step is rejected and shrunk instead of raising
+    p = std(gamma=0.2)
+    L, S = ft.invariant_box(p)
+    cfg = ft.IntegratorConfig(method=ft.AdaptiveRK45())
+    traj = ft.simulate(p, ft.AveragedCosine(eta=0.1), ft.State(7.2, 40.5), 50.0, cfg)
+    assert traj.t[-1] == pytest.approx(50.0)
+    assert np.max(np.abs(traj.v)) <= L and np.max(np.abs(traj.w)) <= S
+    # a NaN error norm on every trial step shrinks the step until it gives up,
+    # rather than turning the step into NaN and looping forever
+    with pytest.raises(DivergenceError):
+        ft.simulate(p, ft.AveragedCosine(eta=0.1), ft.State(1e150, 0.0), 10.0, cfg)
+
+
 def test_count_spikes_synthetic_wave():
     t = np.linspace(0.0, 4.0 * math.pi, 4001)
     report = ft.count_spikes(synthetic(np.sin(t), t), arm_level=-0.5)
