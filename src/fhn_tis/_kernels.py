@@ -14,7 +14,7 @@ NUMBA_ENABLED = os.environ.get("FHN_TIS_NO_NUMBA", "").strip().lower() not in ("
 if NUMBA_ENABLED:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
+    except ImportError:  # numba is optional (the jit extra)
         NUMBA_ENABLED = False
 
 if not NUMBA_ENABLED:
@@ -32,6 +32,9 @@ DRIVE_FROZEN = 0   # par1 = envelope constant c
 DRIVE_COSINE = 1   # par1 = beat frequency eta
 DRIVE_RAW = 2      # par1, par2 = carrier frequencies omega1, omega2
 DRIVE_CUSTOM = 3   # sampled envelope in cs (spacing cs_dt), linear interpolation
+
+# dp45_trajectory's ok flag when the step size fell below 1e-14
+STEP_COLLAPSED = 2
 
 # terminal codes shared with singular.py
 TERM_HORIZON = 0
@@ -172,7 +175,8 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
                     v0, w0, t0, t_final, rel_tol, abs_tol, max_dt, stride):
     """Adaptive Dormand-Prince 5(4) over [t0, t_final], step capped at max_dt.
 
-    Returns (t, v, w, n_samples, ok, vmax_abs, wmax_abs); ok as in rk4_trajectory.
+    Returns (t, v, w, n_samples, ok, vmax_abs, wmax_abs); ok as in rk4_trajectory,
+    or STEP_COLLAPSED when the step size fell below 1e-14.
     """
     cap = 4096
     ts = np.empty(cap)
@@ -275,7 +279,7 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
                 fac = 5.0
         h = h * fac
         if h < 1e-14:
-            ok = 0
+            ok = STEP_COLLAPSED
             break
     return ts, vs, ws, n, ok, vmax, wmax
 

@@ -235,7 +235,7 @@ def _cmd_sweep_exp1(args) -> int:
                          ic_policy=spec.ic_policy, integrator=spec.integrator)
     results = run_experiment1(spec)
     for res in results:
-        frac = float(res.tonic.mean())
+        frac = float((res.counts >= 2).mean())
         print(f"panel A={res.A!r} B={res.B!r}: kappa_star={res.kappa_star!r} "
               f"tonic_fraction={frac!r} "
               f"wall_s={res.manifest['wall_time_s']:.1f}")
@@ -272,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluate region membership and spiking conditions")
     _add_param_flags(sp)
     sp.add_argument("--c-grid-size", type=int, default=1001,
-                    help="points of the envelope-value grid (default 1001)")
+                    help="points of the envelope-value grid on which "
+                         "eq_left_of_folds is checked, and the rows of --table "
+                         "(default 1001)")
     sp.add_argument("--table", metavar="CSV",
                     help="also write a per-c table (c, r, v_m, w_m, v_e, w_e, "
                          "unique, les)")

@@ -44,9 +44,9 @@ class InvalidStartError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """The integration produced a non-finite state.
+    """The integration produced a non-finite state or its adaptive step collapsed.
 
-    ``t`` and ``state`` hold the last finite sample before the blow-up.
+    ``t`` and ``state`` hold the last recorded sample before the failure.
     """
 
     def __init__(self, message, t=None, state=None):

@@ -92,7 +92,6 @@ class SweepResult:
     kappa_values: np.ndarray
     epsilon_values: np.ndarray
     counts: np.ndarray          # [i_kappa, j_epsilon]; -1 marks a diverged cell
-    tonic: np.ndarray
     diverged: np.ndarray
     kappa_star: float           # NaN when the region precondition fails
     manifest: dict
@@ -208,7 +207,7 @@ def run_experiment1(spec: SweepSpec) -> list:
         }
         results.append(SweepResult(
             A=A, B=B, kappa_values=kappas.copy(), epsilon_values=epsilons.copy(),
-            counts=panel_counts, tonic=(panel_counts >= 2), diverged=diverged,
+            counts=panel_counts, diverged=diverged,
             kappa_star=kstar, manifest=manifest))
     return results
 
@@ -341,7 +340,7 @@ def save_sweep_results(results, out_dir) -> list:
             for i, kap in enumerate(res.kappa_values):
                 for j, eps in enumerate(res.epsilon_values):
                     fh.write(f"{float(kap)!r},{float(eps)!r},"
-                             f"{int(res.counts[i, j])},{int(res.tonic[i, j])}\n")
+                             f"{int(res.counts[i, j])},{int(res.counts[i, j] >= 2)}\n")
         written.append(csv_path)
         mat_path = out / f"{stem}_matrix.txt"
         with open(mat_path, "w") as fh:

@@ -64,11 +64,16 @@ class RegionClass:
     ges_small_eps: bool
 
 
+def _gain(p: Params, c):
+    # r(c) for a float or an array of envelope values, unchecked
+    return 1.0 - p.A * p.A / 2.0 - p.B * p.B / 2.0 - c * p.A * p.B
+
+
 def effective_gain(p: Params, c: float) -> float:
     """Linear gain r(c) of the fast variable at envelope value c."""
     if not (-1.0 <= c <= 1.0):
         raise DomainError(f"envelope value must lie in [-1, 1], got {c}")
-    return 1.0 - p.A * p.A / 2.0 - p.B * p.B / 2.0 - c * p.A * p.B
+    return _gain(p, c)
 
 
 def fold_point(p: Params, c: float) -> FoldPoint:
@@ -80,33 +85,39 @@ def fold_point(p: Params, c: float) -> FoldPoint:
     return FoldPoint(c=c, v_m=-math.sqrt(r), w_m=-(2.0 / 3.0) * r ** 1.5)
 
 
-def _v_e(p: Params, c: float) -> float:
-    # leftmost root of v**3 - 3*(r - 1/gamma)*v + 3*beta/gamma = 0
-    r = effective_gain(p, c)
+def _v_e(p: Params, r: float) -> float:
+    # leftmost root of v**3 - 3*(r - 1/gamma)*v + 3*beta/gamma = 0 at gain r
     return float(_kernels.leftmost_cubic_root(-3.0 * (r - 1.0 / p.gamma),
                                               3.0 * p.beta / p.gamma))
 
 
+def _unique_at(p: Params, r):
+    # one frozen equilibrium at gain r (a float or an array)
+    return (r - 1.0 / p.gamma) ** 3 < (9.0 / 4.0) * p.beta ** 2 / p.gamma ** 2
+
+
+def _les_at(p: Params, r, v_e):
+    # the equilibrium v_e at gain r (floats or arrays) is locally stable
+    return r - v_e * v_e < min(p.epsilon * p.gamma, 1.0 / p.gamma)
+
+
 def is_unique(p: Params, c: float) -> bool:
     """True iff the frozen system at c has exactly one equilibrium."""
-    r = effective_gain(p, c)
-    return (r - 1.0 / p.gamma) ** 3 < (9.0 / 4.0) * p.beta ** 2 / p.gamma ** 2
+    return _unique_at(p, effective_gain(p, c))
 
 
 def is_les(p: Params, c: float) -> bool:
     """True iff the leftmost equilibrium at c is locally exponentially stable."""
-    r = effective_gain(p, c)
-    v_e = _v_e(p, c)
-    return r - v_e * v_e < min(p.epsilon * p.gamma, 1.0 / p.gamma)
+    return equilibrium(p, c).les
 
 
 def equilibrium(p: Params, c: float) -> EquilibriumInfo:
     """Leftmost equilibrium of the frozen system at envelope value c."""
     r = effective_gain(p, c)
-    v_e = _v_e(p, c)
+    v_e = _v_e(p, r)
     w_e = (v_e + p.beta) / p.gamma
-    unique = is_unique(p, c)
-    les = r - v_e * v_e < min(p.epsilon * p.gamma, 1.0 / p.gamma)
+    unique = _unique_at(p, r)
+    les = _les_at(p, r, v_e)
     ges = unique and (r - v_e * v_e < 0.0)
     return EquilibriumInfo(c=c, v_e=v_e, w_e=w_e, unique=unique, les=les,
                            ges_small_eps=ges)
@@ -119,13 +130,20 @@ def _unique_everywhere(p: Params) -> bool:
     return (p.A - p.B) ** 2 > rhs
 
 
+def _band(p: Params, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # gains r(c) and leftmost equilibria v_e(c) over an array of envelope values
+    r = _gain(p, cs)
+    return r, np.array([_v_e(p, x) for x in r.tolist()])
+
+
 def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
     """Evaluate the parameter-region flags; the grid verifies the fold gap.
 
     The equilibria_left_of_folds flag has no closed form: v_e(c) < v_m(c) is
-    checked on a uniform c-grid, and accepted only if the smallest observed gap
-    exceeds 10 * (grid spacing) * (max observed gap slope), so a sign change
-    between grid points cannot hide.
+    checked on a uniform c-grid of c_grid_size points, and accepted only if the
+    smallest observed gap exceeds 10 * (grid spacing) * (max observed gap
+    slope), so a sign change between grid points cannot hide. The CLI's
+    --c-grid-size sets this resolution (and the rows of its --table).
     """
     if c_grid_size < 3:
         raise DomainError(f"c_grid_size must be at least 3, got {c_grid_size}")
@@ -136,9 +154,8 @@ def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
     left_of_folds = False
     if unique and p.folds_everywhere:
         cs = np.linspace(-1.0, 1.0, c_grid_size)
-        gaps = np.empty(c_grid_size)
-        for i, c in enumerate(cs):
-            gaps[i] = fold_point(p, c).v_m - _v_e(p, c)
+        r, v_e = _band(p, cs)
+        gaps = -np.sqrt(r) - v_e
         h = cs[1] - cs[0]
         slope = float(np.max(np.abs(np.diff(gaps)))) / h
         left_of_folds = bool(np.min(gaps) > 10.0 * h * slope)
@@ -186,26 +203,15 @@ def frozen_table(p: Params, c_grid_size: int = 1001) -> dict:
     if c_grid_size < 2:
         raise DomainError(f"c_grid_size must be at least 2, got {c_grid_size}")
     cs = np.linspace(-1.0, 1.0, c_grid_size)
-    out = {
+    r, v_e = _band(p, cs)
+    r_fold = np.where(r > 0.0, r, np.nan)
+    return {
         "c": cs,
-        "r": np.empty(c_grid_size),
-        "v_m": np.full(c_grid_size, np.nan),
-        "w_m": np.full(c_grid_size, np.nan),
-        "v_e": np.empty(c_grid_size),
-        "w_e": np.empty(c_grid_size),
-        "unique": np.empty(c_grid_size, dtype=bool),
-        "les": np.empty(c_grid_size, dtype=bool),
+        "r": r,
+        "v_m": -np.sqrt(r_fold),
+        "w_m": -(2.0 / 3.0) * r_fold ** 1.5,
+        "v_e": v_e,
+        "w_e": (v_e + p.beta) / p.gamma,
+        "unique": _unique_at(p, r),
+        "les": _les_at(p, r, v_e),
     }
-    for i, c in enumerate(cs):
-        r = effective_gain(p, c)
-        out["r"][i] = r
-        if r > 0.0:
-            fp = fold_point(p, c)
-            out["v_m"][i] = fp.v_m
-            out["w_m"][i] = fp.w_m
-        eq = equilibrium(p, c)
-        out["v_e"][i] = eq.v_e
-        out["w_e"][i] = eq.w_e
-        out["unique"][i] = eq.unique
-        out["les"][i] = eq.les
-    return out

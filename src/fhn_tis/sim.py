@@ -107,13 +107,25 @@ def _run_leg(p: Params, code, par1, par2, cs, cs_dt, v0, w0, t0, t1, cfg):
                                     max_dt, cfg.sample_stride)
 
 
+def _check_leg(ok, ts, vs, ws, n) -> None:
+    # raise at the last recorded sample when a stepper gave up
+    if ok == 1:
+        return
+    if ok == _kernels.STEP_COLLAPSED:
+        msg = "adaptive step size collapsed below 1e-14 without meeting the tolerances"
+    else:
+        msg = "state went non-finite; reduce dt or tighten tolerances"
+    raise DivergenceError(msg, t=float(ts[n - 1]),
+                          state=(float(vs[n - 1]), float(ws[n - 1])))
+
+
 def simulate(p: Params, drive: Drive, ic: State, t_final: float,
              cfg: IntegratorConfig = DEFAULT_CONFIG, t0: float = 0.0) -> Trajectory:
     """Integrate the system selected by the drive from ic over [t0, t_final].
 
-    Raises DivergenceError if the state goes non-finite; the dynamics are
-    provably bounded, so divergence always means the integrator needs a
-    smaller step or tighter tolerances.
+    Raises DivergenceError if the state goes non-finite or the adaptive step
+    size collapses; the dynamics are provably bounded, so divergence always
+    means the integrator needs a smaller step or tighter tolerances.
     """
     if not (t_final > t0):
         raise DomainError(f"t_final must exceed t0, got {t_final} <= {t0}")
@@ -136,10 +148,7 @@ def simulate(p: Params, drive: Drive, ic: State, t_final: float,
             c_seg = 1.0 if math.cos(drive.eta * mid) >= 0.0 else -1.0
             ts, vs, ws, n, ok, _, _ = _run_leg(p, _kernels.DRIVE_FROZEN, c_seg, 0.0,
                                                np.empty(0), 1.0, v, w, a, b, cfg)
-            if not ok:
-                raise DivergenceError(
-                    "state went non-finite; reduce dt or tighten tolerances",
-                    t=float(ts[n - 1]), state=(float(vs[n - 1]), float(ws[n - 1])))
+            _check_leg(ok, ts, vs, ws, n)
             start = 1 if ts_all else 0
             ts_all.append(ts[start:n])
             vs_all.append(vs[start:n])
@@ -152,10 +161,7 @@ def simulate(p: Params, drive: Drive, ic: State, t_final: float,
         code, par1, par2, cs, cs_dt = _drive_code(drive)
         ts, vs, ws, n, ok, _, _ = _run_leg(p, code, par1, par2, cs, cs_dt,
                                            v0, w0, t0, t_final, cfg)
-        if not ok:
-            raise DivergenceError(
-                "state went non-finite; reduce dt or tighten tolerances",
-                t=float(ts[n - 1]), state=(float(vs[n - 1]), float(ws[n - 1])))
+        _check_leg(ok, ts, vs, ws, n)
         t_arr = ts[:n].copy()
         v_arr = vs[:n].copy()
         w_arr = ws[:n].copy()

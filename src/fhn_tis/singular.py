@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import (BandEdgeError, DomainError, InvalidStartError, NearFoldError,
                      RegionPreconditionError, UndefinedCoordinateError)
-from .frozen import classify_region, equilibrium, fold_point
+from .frozen import _gain, classify_region, equilibrium, fold_point
 from .model import Params
 
 # fold-event tolerance on the denominator r(c) - v**2
@@ -29,6 +29,8 @@ TOL_DENOM = 1e-6
 ON_CUBIC_TOL = 1e-9
 # default slow-time step of the transport integrator
 DEFAULT_DS = 5e-4
+# points of the coarse c-scan behind kappa_threshold, band ends included
+KAPPA_SCAN_POINTS = 2049
 
 
 class EnvelopeCoordinate(NamedTuple):
@@ -129,7 +131,7 @@ def _field(p: Params, kappa: float, v: float, w: float, sign: float,
         else:
             raise DomainError(
                 f"point (v={v}, w={w}) lies on no admissible cubic (c={c})")
-    r = 1.0 - p.A * p.A / 2.0 - p.B * p.B / 2.0 - c * p.A * p.B
+    r = _gain(p, c)
     denom = r - v * v
     if abs(denom) <= tol_denom:
         raise NearFoldError("vector field evaluated within fold-event tolerance",
@@ -170,15 +172,20 @@ def escaping_at_c(p: Params, kappa: float, c: float) -> bool:
     return lhs > rhs
 
 
-def _drift_over_pull(p: Params, c: float) -> float:
-    # kappa value at which the escape inequality turns true at this c
-    fp = fold_point(p, c)
-    num = fp.v_m - p.gamma * fp.w_m + p.beta
-    den = abs(fp.v_m) * p.A * p.B * math.sqrt(1.0 - c * c)
-    return num / den
+def _drift_over_pull(p: Params, c):
+    # kappa at which the escape inequality turns true at c (a float or an array)
+    r = _gain(p, c)
+    v_m = -np.sqrt(r)
+    w_m = -(2.0 / 3.0) * r ** 1.5
+    return (v_m - p.gamma * w_m + p.beta) / (np.abs(v_m) * p.A * p.B * np.sqrt(1.0 - c * c))
 
 
-def kappa_threshold(p: Params, tol: float = 1e-6, grid: int = 2049) -> float:
+def _require_region(p: Params, name: str) -> None:
+    if not classify_region(p).equilibria_left_of_folds:
+        raise RegionPreconditionError(f"{name} requires equilibria_left_of_folds")
+
+
+def kappa_threshold(p: Params, tol: float = 1e-6) -> float:
     """Critical kappa above which the escape inequality holds for some c.
 
     Minimizes drift/pull over c in (-1, 1) by a coarse scan plus golden-section
@@ -187,22 +194,13 @@ def kappa_threshold(p: Params, tol: float = 1e-6, grid: int = 2049) -> float:
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    region = classify_region(p)
-    if not region.equilibria_left_of_folds:
-        raise RegionPreconditionError(
-            "kappa_threshold requires equilibria_left_of_folds")
-    cs = np.linspace(-1.0, 1.0, grid)[1:-1]
-    best = math.inf
-    best_i = -1
-    for i, c in enumerate(cs):
-        fp = fold_point(p, c)
-        num = fp.v_m - p.gamma * fp.w_m + p.beta
-        if num <= 0.0:
-            return 0.0
-        g = num / (abs(fp.v_m) * p.A * p.B * math.sqrt(1.0 - c * c))
-        if g < best:
-            best = g
-            best_i = i
+    _require_region(p, "kappa_threshold")
+    cs = np.linspace(-1.0, 1.0, KAPPA_SCAN_POINTS)[1:-1]
+    g = _drift_over_pull(p, cs)
+    if np.any(g <= 0.0):
+        return 0.0
+    best_i = int(np.argmin(g))
+    best = g[best_i]
     lo = cs[best_i - 1] if best_i > 0 else -1.0 + 1e-12
     hi = cs[best_i + 1] if best_i < cs.size - 1 else 1.0 - 1e-12
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -292,10 +290,7 @@ def predicts_no_tonic(p: Params, kappa: float, ds: float = DEFAULT_DS) -> bool:
     predicts no tonic spiking at this kappa for small timescale ratio; a fold
     contact refutes the prediction.
     """
-    region = classify_region(p)
-    if not region.equilibria_left_of_folds:
-        raise RegionPreconditionError("predicts_no_tonic requires "
-                                      "equilibria_left_of_folds")
+    _require_region(p, "predicts_no_tonic")
     arc = integrate_singular(p, kappa, math.pi, _equilibrium_start(p, -1.0),
                              horizon=math.pi / kappa, ds=ds)
     return isinstance(arc.terminal, ReachedEnvelopeMax)
@@ -310,10 +305,7 @@ def escape_cycle_check(p: Params, kappa: float,
     one rising half-cycle. holds=True iff the rising arc contacts the fold
     where the escape inequality is satisfied.
     """
-    region = classify_region(p)
-    if not region.equilibria_left_of_folds:
-        raise RegionPreconditionError("escape_cycle_check requires "
-                                      "equilibria_left_of_folds")
+    _require_region(p, "escape_cycle_check")
     half = math.pi / kappa
     down = integrate_singular(p, kappa, 0.0, _equilibrium_start(p, 1.0),
                               horizon=half, ds=ds)

@@ -45,6 +45,23 @@ def equilibrium_v_bisect(A, B, beta, gamma, c):
     return bisect_leftmost_root(-3.0 * (r - 1.0 / gamma), 3.0 * beta / gamma)
 
 
+def left_of_folds_closed_form(A, B, beta, gamma):
+    """Every leftmost equilibrium strictly left of its fold, in closed form.
+
+    Assumes one equilibrium and a fold for every envelope value. With
+    x = sqrt(r(c)), the equilibrium cubic is negative at the fold v = -x iff
+    g(x) = (beta - x)/gamma + (2/3)*x**3 > 0; over [sqrt r(1), sqrt r(-1)] the
+    minimum of g sits at an end or at x* = 1/sqrt(2*gamma).
+    """
+    x_lo = math.sqrt(1.0 - A * A / 2.0 - B * B / 2.0 - A * B)
+    x_hi = math.sqrt(1.0 - A * A / 2.0 - B * B / 2.0 + A * B)
+    xs = [x_lo, x_hi]
+    x_star = 1.0 / math.sqrt(2.0 * gamma)
+    if x_lo < x_star < x_hi:
+        xs.append(x_star)
+    return min((beta - x) / gamma + (2.0 / 3.0) * x ** 3 for x in xs) > 0.0
+
+
 def count_real_roots(p, q, grid=4001):
     """Real-root count of t**3 + p*t + q by sign changes on a wide grid."""
     bound = 1.0 + max(abs(p), abs(q))

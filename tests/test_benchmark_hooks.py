@@ -1,0 +1,29 @@
+"""The benchmark in perfbench/ reaches into the package by name: its warm-up
+calls the kernels with fixed signatures, and its tracer replaces module
+attributes. A rename that breaks either fails here."""
+import importlib
+from pathlib import Path
+
+import fhn_tis as ft
+from fhn_tis import frozen, singular
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_warmup_and_tracer_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    tracing = importlib.import_module("tracing")
+    run._warm_kernels()
+    original = frozen.classify_region
+    tracer = tracing.Tracer()
+    uninstall = tracer.install()
+    try:
+        singular.kappa_threshold(ft.Params(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.1))
+    finally:
+        uninstall()
+    assert tracer.stats["singular.kappa_threshold"].calls == 1
+    assert tracer.stats["frozen.classify_region"].calls == 1
+    assert tracer.stats["_kernels.leftmost_cubic_root"].calls > 0
+    assert frozen.classify_region is original
+    assert singular.classify_region is original

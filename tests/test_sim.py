@@ -209,9 +209,11 @@ def test_adaptive_rejects_overflowing_trial_step():
     assert traj.t[-1] == pytest.approx(50.0)
     assert np.max(np.abs(traj.v)) <= L and np.max(np.abs(traj.w)) <= S
     # a NaN error norm on every trial step shrinks the step until it gives up,
-    # rather than turning the step into NaN and looping forever
-    with pytest.raises(DivergenceError):
+    # rather than turning the step into NaN and looping forever; no state went
+    # non-finite, so the error names the collapsed step
+    with pytest.raises(DivergenceError, match="step size collapsed") as exc:
         ft.simulate(p, ft.AveragedCosine(eta=0.1), ft.State(1e150, 0.0), 10.0, cfg)
+    assert exc.value.t == 0.0 and exc.value.state == (1e150, 0.0)
 
 
 def test_count_spikes_synthetic_wave():
