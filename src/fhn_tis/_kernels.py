@@ -1,9 +1,12 @@
 """Compiled inner loops: fixed/adaptive steppers, spike counting, slow-arc transport.
 
 Every kernel is written as plain scalar/array code so it runs identically with or
-without numba. Set ``FHN_TIS_NO_NUMBA=1`` to skip JIT compilation and use the
-pure-Python path (slow, intended for debugging). ``cosine_ensemble_spikes``, which
-steps many sweep cells at once, is plain numpy and is never compiled.
+without numba. numba is the optional ``jit`` extra; without it, or with
+``FHN_TIS_NO_NUMBA=1``, the kernels run as plain Python. That is the path every
+run takes where numba is not installed, not a debugging aid, so the scalar
+kernels keep to Python floats: arithmetic on numpy scalars is several times
+slower. ``cosine_ensemble_spikes``, which steps many sweep cells at once, is
+plain numpy and is never compiled.
 """
 import math
 import os
@@ -57,7 +60,9 @@ def leftmost_cubic_root(p, q):
         sq = math.sqrt(disc)
         u = np.cbrt(-q / 2.0 + sq)
         v = np.cbrt(-q / 2.0 - sq)
-        root = u + v
+        # a float, not np.float64: numpy scalars would slow every caller's
+        # arithmetic on the pure-Python path
+        root = float(u + v)
     else:
         m = 2.0 * math.sqrt(-p / 3.0)
         if m == 0.0:
@@ -68,12 +73,8 @@ def leftmost_cubic_root(p, q):
             arg = 1.0
         elif arg < -1.0:
             arg = -1.0
-        th = math.acos(arg)
-        root = m * math.cos(th / 3.0)
-        for k in range(1, 3):
-            cand = m * math.cos((th - 2.0 * math.pi * k) / 3.0)
-            if cand < root:
-                root = cand
+        # of the roots m*cos((th - 2*pi*k)/3), k = 0, 1, 2, the leftmost is k = 2
+        root = m * math.cos((math.acos(arg) - 4.0 * math.pi) / 3.0)
     for _ in range(3):
         f = root * root * root + p * root + q
         fp = 3.0 * root * root + p
@@ -441,65 +442,120 @@ def spike_scan(v, fire, arm):
     return idx
 
 
-@njit(cache=True, nogil=True)
-def _branch_state(rho, AB, kappa, phi0, s, w):
-    """Left-branch state at slow time s: returns (status, v, denom).
+# a warm-started Newton root is tried for this many iterations, and counts as
+# converged once its step falls below this size; convergence is quadratic
+# there, so the root is then correct to rounding
+_WARM_ITERS = 8
+_WARM_STEP_TOL = 1e-13
 
-    status 1 = valid left-branch point with denom <= -tol handled by caller,
-    status 0 = the left branch does not reach this w (fold crossed),
-    status -1 = the recovered v collapsed onto the origin.
+
+@njit(cache=True, nogil=True)
+def _newton_leftmost(p, q, t0):
+    """Newton on t**3 + p*t + q = 0 from t0; returns (certified, t).
+
+    certified means the iteration converged to a t < 0 with 3*t**2 + p > 0,
+    that is left of the local maximum at -sqrt(-p/3) (or anywhere if p >= 0).
+    The cubic rises strictly there and has exactly one root, which is
+    therefore the leftmost root.
     """
-    c = math.cos(phi0 + kappa * s)
-    rc = rho - AB * c
-    v = leftmost_cubic_root(-3.0 * rc, 3.0 * w)
+    t = t0
+    for _ in range(_WARM_ITERS):
+        tt = t * t
+        fp = 3.0 * tt + p
+        if fp == 0.0:
+            break
+        step = ((tt + p) * t + q) / fp
+        t -= step
+        if -_WARM_STEP_TOL < step < _WARM_STEP_TOL:
+            return t < 0.0 and 3.0 * t * t + p > 0.0, t
+    return False, t
+
+
+@njit(cache=True, nogil=True)
+def _leftmost_root_near(p, q, t0):
+    """leftmost_cubic_root(p, q), by certified Newton from t0 where it converges."""
+    certified, t = _newton_leftmost(p, q, t0)
+    if certified:
+        return t
+    return leftmost_cubic_root(p, q)
+
+
+@njit(cache=True, nogil=True)
+def _stage_status(rc, v, tol_denom):
+    """Check of one transport stage with gain rc and recovered v.
+
+    1: v lies on the left branch with rc - v**2 <= -tol_denom; -1: v collapsed
+    onto the origin; 0: the left branch was lost (fold contact).
+    """
     if not math.isfinite(v):
-        return 0, v, 0.0
+        return 0
     if abs(v) < _ORIGIN_TOL:
-        return -1, v, rc - v * v
-    if v > 0.0:
-        return 0, v, rc - v * v
-    return 1, v, rc - v * v
+        return -1
+    if v > 0.0 or rc - v * v > -tol_denom:
+        return 0
+    return 1
 
 
 @njit(cache=True, nogil=True)
-def _transport_step(rho, AB, beta, gamma, kappa, phi0, s, w, h, tol_denom):
-    """One RK4 step of dw/ds = v - gamma*w + beta with on-nullcline v recovery.
+def _transport_rk4(rho, AB, beta, gamma, kappa, phi0, s, w, v, rc, h, tol_denom):
+    """One RK4 step of dw/ds = v - gamma*w + beta from the root v at (s, w).
 
-    Every stage must sit on the left branch with denominator at most -tol_denom;
-    returns (status, w_new) where status mirrors _branch_state.
+    rc is the gain at s. Each inner stage recovers its v as the leftmost root
+    of its cubic, warm-started from the stage before; the root at the step's
+    end comes from leftmost_cubic_root. Every stage and that root must pass
+    _stage_status. Returns (status, w_new, v_new, rc_new): the end state with
+    its root and gain, or the first failing status with the start state.
     """
-    st, v, d = _branch_state(rho, AB, kappa, phi0, s, w)
-    if st != 1 or d > -tol_denom:
-        return (st if st != 1 else 0), w
+    st = _stage_status(rc, v, tol_denom)
+    if st != 1:
+        return st, w, v, rc
     k1 = v - gamma * w + beta
-    st, v, d = _branch_state(rho, AB, kappa, phi0, s + h / 2.0, w + h / 2.0 * k1)
-    if st != 1 or d > -tol_denom:
-        return (st if st != 1 else 0), w
-    k2 = v - gamma * (w + h / 2.0 * k1) + beta
-    st, v, d = _branch_state(rho, AB, kappa, phi0, s + h / 2.0, w + h / 2.0 * k2)
-    if st != 1 or d > -tol_denom:
-        return (st if st != 1 else 0), w
-    k3 = v - gamma * (w + h / 2.0 * k2) + beta
-    st, v, d = _branch_state(rho, AB, kappa, phi0, s + h, w + h * k3)
-    if st != 1 or d > -tol_denom:
-        return (st if st != 1 else 0), w
-    k4 = v - gamma * (w + h * k3) + beta
+    rc_mid = rho - AB * math.cos(phi0 + kappa * (s + h / 2.0))
+    w2 = w + h / 2.0 * k1
+    v2 = _leftmost_root_near(-3.0 * rc_mid, 3.0 * w2, v)
+    st = _stage_status(rc_mid, v2, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    k2 = v2 - gamma * w2 + beta
+    w3 = w + h / 2.0 * k2
+    v3 = _leftmost_root_near(-3.0 * rc_mid, 3.0 * w3, v2)
+    st = _stage_status(rc_mid, v3, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    k3 = v3 - gamma * w3 + beta
+    rc_end = rho - AB * math.cos(phi0 + kappa * (s + h))
+    w4 = w + h * k3
+    v4 = _leftmost_root_near(-3.0 * rc_end, 3.0 * w4, v3)
+    st = _stage_status(rc_end, v4, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    k4 = v4 - gamma * w4 + beta
     w_new = w + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    st, v, d = _branch_state(rho, AB, kappa, phi0, s + h, w_new)
-    if st != 1 or d > -tol_denom:
-        return (st if st != 1 else 0), w
-    return 1, w_new
+    v_new = leftmost_cubic_root(-3.0 * rc_end, 3.0 * w_new)
+    st = _stage_status(rc_end, v_new, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    return 1, w_new, v_new, rc_end
 
 
 @njit(cache=True, nogil=True)
 def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, stride):
     """Transport a left-branch point along the moving nullcline family.
 
-    Integrates dw/ds = v - gamma*w + beta for s in [0, horizon] with
-    v recovered from w on the left branch of the nullcline at envelope value
-    cos(phi0 + kappa*s). Stops at the first of: fold contact (denominator within
-    tol_denom, located by bisection), completion of a rising half-cycle at
-    envelope value +1, origin collapse, or the horizon.
+    Integrates dw/ds = v - gamma*w + beta for s in [0, horizon] by RK4 on a
+    fixed grid of step ds, with v recovered from w on the left branch of the
+    nullcline at envelope value cos(phi0 + kappa*s). Stops at the first of:
+    fold contact (a stage's denominator within tol_denom, located by bisecting
+    the step length), completion of a rising half-cycle at envelope value +1,
+    origin collapse, or the horizon.
+
+    Each step makes four cubic roots. The three inner stages are Newton
+    warm-started from the stage before, and a root is kept only when
+    _newton_leftmost certifies it as the leftmost one; otherwise
+    leftmost_cubic_root computes it. The root at the step's end is always
+    leftmost_cubic_root, so a step depends on (s, w) alone and arcs that meet
+    on the grid stay together; it is reused as the next step's first stage
+    and as the stored sample's v.
 
     Returns (s, v, w, c, n, term_code, term_s, term_c, term_v, term_w).
     """
@@ -512,7 +568,8 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
     cc = np.empty(cap)
     s = 0.0
     w = w0
-    st, v, d = _branch_state(rho, AB, kappa, phi0, 0.0, w)
+    rc = rho - AB * math.cos(phi0)
+    v = leftmost_cubic_root(-3.0 * rc, 3.0 * w)
     ss[0] = 0.0
     vs[0] = v
     ws[0] = w
@@ -528,26 +585,28 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
             h = s_end - s
             if h > ds:
                 h = ds
-            st, w_try = _transport_step(rho, AB, beta, gamma, kappa, phi0, s, w, h, tol_denom)
+            st, w_try, v_try, rc_try = _transport_rk4(rho, AB, beta, gamma, kappa, phi0,
+                                                      s, w, v, rc, h, tol_denom)
             if st != 1:
-                # locate the event time with bisection on the step fraction
+                # the longest step every stage survives, by bisection on its length
                 lo = 0.0
                 hi = h
+                w_ev = w
+                v_ev = v
                 for _ in range(80):
                     mid = (lo + hi) / 2.0
-                    stm, w_mid = _transport_step(rho, AB, beta, gamma, kappa, phi0,
-                                                 s, w, mid, tol_denom)
+                    stm, w_mid, v_mid, _ = _transport_rk4(rho, AB, beta, gamma, kappa, phi0,
+                                                          s, w, v, rc, mid, tol_denom)
                     if stm == 1:
                         lo = mid
+                        w_ev = w_mid
+                        v_ev = v_mid
                     else:
                         hi = mid
                     if hi - lo < 1e-15:
                         break
-                stl, w_ev = _transport_step(rho, AB, beta, gamma, kappa, phi0, s, w, lo,
-                                            tol_denom)
                 s_ev = s + lo
                 c_ev = math.cos(phi0 + kappa * s_ev)
-                ste, v_ev, d_ev = _branch_state(rho, AB, kappa, phi0, s_ev, w_ev)
                 code = TERM_ORIGIN if st == -1 else TERM_FOLD
                 ss[n] = s_ev
                 vs[n] = v_ev
@@ -555,43 +614,40 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
                 cc[n] = c_ev
                 n += 1
                 return ss, vs, ws, cc, n, code, s_ev, c_ev, v_ev, w_ev
-            s = s + h
-            if s_end - s < 1e-13:
-                s = s_end
+            s_step = s + h
+            s = s_end if s_end - s_step < 1e-13 else s_step
             w = w_try
+            if s == s_step:
+                v = v_try
+                rc = rc_try
+            else:
+                rc = rho - AB * math.cos(phi0 + kappa * s)
+                v = leftmost_cubic_root(-3.0 * rc, 3.0 * w)
             nsteps += 1
             if nsteps % stride == 0:
-                st, v, d = _branch_state(rho, AB, kappa, phi0, s, w)
                 ss[n] = s
                 vs[n] = v
                 ws[n] = w
                 cc[n] = math.cos(phi0 + kappa * s)
                 n += 1
-        s = s_end
-        if s_leg <= horizon + 1e-13:
-            # landed on a leg boundary: envelope value is exactly +/-1 by parity
-            c_b = 1.0 if k % 2 == 0 else -1.0
-            rc = rho - AB * c_b
-            vb = leftmost_cubic_root(-3.0 * rc, 3.0 * w)
-            ss[n] = s
-            vs[n] = vb
-            ws[n] = w
-            cc[n] = c_b
-            n += 1
-            if c_b == 1.0:
-                return ss, vs, ws, cc, n, TERM_TOP, s, c_b, vb, w
-            if abs(s - horizon) < 1e-13:
-                return ss, vs, ws, cc, n, TERM_HORIZON, s, c_b, vb, w
-        else:
-            st, v, d = _branch_state(rho, AB, kappa, phi0, s, w)
-            cch = math.cos(phi0 + kappa * s)
-            ss[n] = s
-            vs[n] = v
-            ws[n] = w
-            cc[n] = cch
-            n += 1
-            return ss, vs, ws, cc, n, TERM_HORIZON, s, cch, v, w
-    st, v, d = _branch_state(rho, AB, kappa, phi0, s, w)
+        if s != s_end:
+            s = s_end
+            rc = rho - AB * math.cos(phi0 + kappa * s)
+            v = leftmost_cubic_root(-3.0 * rc, 3.0 * w)
+        if s_leg > horizon + 1e-13:
+            break
+        # landed on a leg boundary: envelope value is exactly +/-1 by parity
+        c_b = 1.0 if k % 2 == 0 else -1.0
+        vb = leftmost_cubic_root(-3.0 * (rho - AB * c_b), 3.0 * w)
+        ss[n] = s
+        vs[n] = vb
+        ws[n] = w
+        cc[n] = c_b
+        n += 1
+        if c_b == 1.0:
+            return ss, vs, ws, cc, n, TERM_TOP, s, c_b, vb, w
+        if abs(s - horizon) < 1e-13:
+            return ss, vs, ws, cc, n, TERM_HORIZON, s, c_b, vb, w
     cch = math.cos(phi0 + kappa * s)
     ss[n] = s
     vs[n] = v

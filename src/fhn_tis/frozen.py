@@ -9,6 +9,7 @@ spiking/no-spiking predictions are built from.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -136,6 +137,7 @@ def _band(p: Params, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, np.array([_v_e(p, x) for x in r.tolist()])
 
 
+@functools.lru_cache(maxsize=64)
 def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
     """Evaluate the parameter-region flags; the grid verifies the fold gap.
 
@@ -144,6 +146,10 @@ def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
     smallest observed gap exceeds 10 * (grid spacing) * (max observed gap
     slope), so a sign change between grid points cannot hide. The CLI's
     --c-grid-size sets this resolution (and the rows of its --table).
+
+    Results are memoised on the (frozen, hashable) Params, so the several
+    region checks of one verdict chain compute the grid test once; the
+    unmemoised function is classify_region.__wrapped__.
     """
     if c_grid_size < 3:
         raise DomainError(f"c_grid_size must be at least 3, got {c_grid_size}")

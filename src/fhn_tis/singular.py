@@ -155,7 +155,8 @@ def escaping_at_c(p: Params, kappa: float, c: float) -> bool:
     """Escape inequality at the fold of C_c, on a rising envelope half-cycle.
 
     True iff |v_m(c)| * A * B * kappa * sqrt(1 - c**2) exceeds the slow drift
-    v_m(c) - gamma*w_m(c) + beta, in which case a fold contact at c throws the
+    v_m(c) - gamma*w_m(c) + beta, i.e. iff kappa exceeds their ratio
+    _drift_over_pull(p, c), in which case a fold contact at c throws the
     trajectory off the slow manifold (a spike).
     """
     if kappa <= 0.0:
@@ -166,10 +167,8 @@ def escaping_at_c(p: Params, kappa: float, c: float) -> bool:
         raise BandEdgeError(
             "escape test is undefined at the envelope extremes (the cross term "
             "vanishes and the inequality is vacuously false)")
-    fp = fold_point(p, c)
-    lhs = abs(fp.v_m) * p.A * p.B * kappa * math.sqrt(1.0 - c * c)
-    rhs = fp.v_m - p.gamma * fp.w_m + p.beta
-    return lhs > rhs
+    fold_point(p, c)  # raises FoldUndefinedError where C_c has no fold
+    return bool(kappa > _drift_over_pull(p, c))
 
 
 def _drift_over_pull(p: Params, c):
@@ -227,11 +226,15 @@ def integrate_singular(p: Params, kappa: float, start_phase: float,
                        tol_denom: float = TOL_DENOM) -> SingularArc:
     """Transport a left-branch point along C_{cos(kappa*s + start_phase)}.
 
-    Integrates the slow equation dw/ds = v - gamma*w + beta with v recovered at
-    every stage as the leftmost cubic root, which keeps the arc on the moving
-    cubic exactly. Terminates at the first of: fold contact (denominator within
-    tol_denom, located by bisection), completion of a rising half-cycle at
-    envelope +1, collapse onto the origin, or the horizon.
+    Integrates the slow equation dw/ds = v - gamma*w + beta by RK4 on a fixed
+    grid of step ds, with v recovered at every stage as the leftmost cubic
+    root, which keeps the arc on the moving cubic exactly. Each step's end
+    root is computed in closed form and reused as the next step's first
+    stage; the inner stages' roots are Newton warm-started from the stage
+    before and kept only where certified as the leftmost root
+    (_kernels.transport_arc). Terminates at the first of: fold contact
+    (denominator within tol_denom, located by bisection), completion of a
+    rising half-cycle at envelope +1, collapse onto the origin, or the horizon.
 
     The start must lie on its cubic within ON_CUBIC_TOL and strictly on the
     left branch, clear of the fold.

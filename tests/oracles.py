@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with a different algorithm than the
 package: bisection instead of closed-form root selection, sign-change scans
-instead of discriminants, dense grid scans instead of golden-section search.
+instead of discriminants, dense grid scans instead of golden-section search,
+scipy's adaptive DOP853 with event location instead of fixed-step RK4 arcs.
 """
 import math
 
@@ -37,6 +38,46 @@ def bisect_leftmost_root(p, q, iters=200):
         if hi - lo < 1e-16 * max(1.0, abs(lo)):
             break
     return 0.5 * (lo + hi)
+
+
+def reference_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, tol_denom=1e-6):
+    """Slow-limit arc by scipy's DOP853 (rtol 1e-11) with an event at the fold.
+
+    Integrates dw/ds = v - gamma*w + beta, with v the leftmost root of the
+    cubic at envelope value cos(phi0 + kappa*s) found by bisection, up to the
+    first of: the fold event r - v**2 = -tol_denom, the envelope top (the
+    phase reaching 2*pi; phi0 must lie in [0, 2*pi)), or the horizon.
+    Returns (kind, s_end, w_of_s): kind is "fold", "top" or "horizon", and
+    w_of_s evaluates the dense output on [0, s_end].
+    """
+    from scipy.integrate import solve_ivp
+
+    rho = 1.0 - A * A / 2.0 - B * B / 2.0
+
+    def gain(s):
+        return rho - A * B * math.cos(phi0 + kappa * s)
+
+    def v_at(s, w):
+        return bisect_leftmost_root(-3.0 * gain(s), 3.0 * w)
+
+    def slow(s, y):
+        return [v_at(s, y[0]) - gamma * y[0] + beta]
+
+    def fold(s, y):
+        v = v_at(s, y[0])
+        return gain(s) - v * v + tol_denom
+
+    fold.terminal = True
+    fold.direction = 1
+    s_top = (2.0 * math.pi - phi0) / kappa
+    s_stop = min(s_top, horizon)
+    sol = solve_ivp(slow, (0.0, s_stop), [w0], method="DOP853", rtol=1e-11,
+                    atol=1e-12, events=fold, dense_output=True)
+    if sol.status == 1:
+        kind, s_stop = "fold", float(sol.t_events[0][0])
+    else:
+        kind = "top" if s_top <= horizon else "horizon"
+    return kind, s_stop, lambda s: sol.sol(s)[0]
 
 
 def equilibrium_v_bisect(A, B, beta, gamma, c):

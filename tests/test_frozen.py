@@ -185,6 +185,14 @@ def test_classify_region_grid_matches_pointwise():
         assert rc.les_sufficient == expected
 
 
+def test_classify_region_is_memoised_on_params():
+    assert ft.classify_region(std()) is ft.classify_region(std())
+    rng = np.random.default_rng(97)
+    for _ in range(200):
+        p = random_params(rng)
+        assert ft.classify_region(p) == ft.classify_region.__wrapped__(p)
+
+
 def test_frozen_table_values_and_nan_folds():
     p = std()
     tab = ft.frozen_table(p, c_grid_size=101)

@@ -1,11 +1,14 @@
 """Kernel paths that must compute the same numbers: compiled and pure-Python,
-and the numpy ensemble cell counter against the scalar one."""
+the numpy ensemble cell counter against the scalar one, and the warm-started
+cubic root of the arc transport against the closed-form one."""
 import importlib.util
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fhn_tis as ft
 import fhn_tis._kernels as fast
@@ -44,6 +47,36 @@ def test_cubic_root_parity_and_correctness(pure):
         assert a == pytest.approx(b, abs=1e-12)
         assert abs(a ** 3 + p * a + q) < 1e-9
         assert a == pytest.approx(oracles.bisect_leftmost_root(p, q), abs=1e-8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rc=st.floats(-0.5, 2.0), v=st.floats(-3.0, -0.05), offset=st.floats(-0.5, 0.5),
+       tol=st.floats(1e-6, 1.0))
+def test_warm_root_certifies_only_the_leftmost_root(rc, v, offset, tol):
+    # v is the leftmost root of v**3 - 3*rc*v + 3*w at least 1e-3 in r - v**2
+    # left of the fold, where the root is well conditioned; the guess may lie
+    # on either side of the local maximum
+    gap = v * v - rc
+    assume(gap >= 1e-3 and abs(gap - tol) > 1e-9)
+    p, q = -3.0 * rc, 3.0 * (rc * v - v ** 3 / 3.0)
+    certified, t = fast._newton_leftmost(p, q, v + offset)
+    if not certified:
+        return
+    assert abs(t - oracles.bisect_leftmost_root(p, q)) <= 1e-12
+    full = fast.leftmost_cubic_root(p, q)
+    assert fast._stage_status(rc, t, tol) == fast._stage_status(rc, full, tol)
+
+
+def test_warm_root_rejects_other_roots():
+    # t**3 - 3*t has roots -sqrt(3), 0 and sqrt(3); Newton from 0.1 converges
+    # to the middle root and from 2 to the right one, neither certified
+    for guess, root in ((0.1, 0.0), (2.0, math.sqrt(3.0))):
+        certified, t = fast._newton_leftmost(-3.0, 0.0, guess)
+        assert not certified
+        assert t == pytest.approx(root, abs=1e-12)
+    certified, t = fast._newton_leftmost(-3.0, 0.0, -1.7)
+    assert certified
+    assert t == pytest.approx(-math.sqrt(3.0), abs=1e-15)
 
 
 def test_envelope_interpolation_parity(pure):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fhn_tis as ft
+from fhn_tis import singular
 from fhn_tis.errors import (BandEdgeError, DomainError, InvalidStartError,
                             NearFoldError, RegionPreconditionError,
                             UndefinedCoordinateError)
@@ -143,6 +144,21 @@ def test_escaping_at_c_kappa_limits():
     assert any(ft.escaping_at_c(p, 3.0, float(c)) for c in cs)
 
 
+def test_escaping_at_c_is_kappa_above_drift_over_pull():
+    # random kappas, and kappas at the computed ratio and one ulp above it,
+    # where a differently rounded form of the inequality can disagree
+    rng = np.random.default_rng(61)
+    for _ in range(500):
+        p = std(A=float(rng.uniform(0.05, 0.6)), B=float(rng.uniform(0.05, 0.6)),
+                beta=float(rng.uniform(0.3, 1.2)), gamma=float(rng.uniform(0.2, 1.5)))
+        c = float(rng.uniform(-0.999, 0.999))
+        ratio = float(singular._drift_over_pull(p, c))
+        for kappa in (float(np.exp(rng.uniform(math.log(0.05), math.log(10.0)))),
+                      ratio, float(np.nextafter(ratio, np.inf))):
+            if kappa > 0.0:
+                assert ft.escaping_at_c(p, kappa, c) is (kappa > ratio)
+
+
 def test_kappa_threshold_reference_value():
     ks = ft.kappa_threshold(std())
     assert ks == pytest.approx(1.5724024463827118, abs=1e-9)
@@ -240,6 +256,37 @@ def test_integrate_singular_tracks_moving_cubic():
     resid = np.abs(r * arc.v - arc.v ** 3 / 3.0 - arc.w)
     assert resid.max() < 1e-9
     assert np.all(arc.v < -np.sqrt(r))
+
+
+def test_integrate_singular_matches_dop853_reference():
+    # fixed-step RK4 transport against scipy's adaptive DOP853 with an event
+    # at the fold (oracles.reference_arc) on 12 seeded arcs, rising and falling
+    # half-cycles with kappa in [0.2, 3]. None of them grazes the fold: the two
+    # fold contacts cross it with w - w_m(c) falling at 0.011 and 0.049 per
+    # unit s, and the other arcs keep v**2 - r >= 0.16.
+    rng = np.random.default_rng(811)
+    names = {"fold": ft.ReachedFold, "top": ft.ReachedEnvelopeMax,
+             "horizon": ft.ReachedHorizon}
+    kinds = set()
+    for i in range(1, 13):
+        p = std(A=float(rng.uniform(0.15, 0.45)), B=float(rng.uniform(0.15, 0.45)),
+                beta=float(rng.uniform(0.7, 0.9)), gamma=float(rng.uniform(0.45, 0.6)))
+        kappa = float(rng.uniform(0.2, 3.0))
+        phase, c0 = (math.pi, -1.0) if i % 2 else (0.0, 1.0)
+        start = on_cubic(p, c0, ft.fold_point(p, c0).v_m - float(rng.uniform(0.05, 0.6)))
+        horizon = float(rng.uniform(0.5, 1.0) if i % 3 == 0 else 1.0) * math.pi / kappa
+        kind, s_end, w_of = oracles.reference_arc(p.A, p.B, p.beta, p.gamma, kappa, phase,
+                                                  start.w, horizon)
+        arc = ft.integrate_singular(p, kappa, phase, start, horizon)
+        assert isinstance(arc.terminal, names[kind])
+        # every grid sample; the last one is the terminal sample
+        assert np.max(np.abs(arc.w[:-1] - w_of(arc.s[:-1]))) < 1e-8
+        if kind == "fold":
+            assert abs(arc.terminal.s - s_end) < singular.DEFAULT_DS
+        else:
+            assert arc.terminal.s == pytest.approx(s_end, abs=1e-12)
+        kinds.add(kind)
+    assert kinds == set(names)
 
 
 def test_transport_preserves_vertical_order():
