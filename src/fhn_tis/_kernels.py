@@ -1,34 +1,18 @@
-"""Compiled inner loops: fixed/adaptive steppers, spike counting, slow-arc transport.
+"""Inner loops in plain Python and numpy: steppers, spike counting, slow-arc transport.
 
-Every kernel is written as plain scalar/array code so it runs identically with or
-without numba. numba is the optional ``jit`` extra; without it, or with
-``FHN_TIS_NO_NUMBA=1``, the kernels run as plain Python. That is the path every
-run takes where numba is not installed, not a debugging aid, so the scalar
-kernels keep to Python floats: arithmetic on numpy scalars is several times
-slower. ``cosine_ensemble_spikes``, which steps many sweep cells at once, is
-plain numpy and is never compiled.
+The scalar kernels keep to Python floats, because arithmetic on numpy scalars
+is several times slower; a sampled envelope therefore comes in as a list.
+rk4_trajectory is the one scalar RK4 loop: simulate's fixed-step path and the
+scalar sweep cell cosine_cell_spikes both run on it. cosine_ensemble_spikes
+steps many sweep cells at once on numpy arrays, on the same time rule, and
+gives cosine_cell_spikes' counts cell by cell.
 """
 import math
-import os
 
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("FHN_TIS_NO_NUMBA", "").strip().lower() not in ("1", "true", "yes")
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # numba is optional (the jit extra)
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+# no compiled backend; the sweep manifests record this under their "numba" key
+NUMBA_ENABLED = False
 
 # drive codes shared with sim.py
 DRIVE_FROZEN = 0   # par1 = envelope constant c
@@ -48,7 +32,6 @@ TERM_ORIGIN = 3
 _ORIGIN_TOL = 1e-9
 
 
-@njit(cache=True, nogil=True)
 def leftmost_cubic_root(p, q):
     """Leftmost real root of t**3 + p*t + q = 0, polished with Newton steps.
 
@@ -61,7 +44,7 @@ def leftmost_cubic_root(p, q):
         u = np.cbrt(-q / 2.0 + sq)
         v = np.cbrt(-q / 2.0 - sq)
         # a float, not np.float64: numpy scalars would slow every caller's
-        # arithmetic on the pure-Python path
+        # arithmetic
         root = float(u + v)
     else:
         m = 2.0 * math.sqrt(-p / 3.0)
@@ -87,7 +70,6 @@ def leftmost_cubic_root(p, q):
     return root
 
 
-@njit(cache=True, nogil=True)
 def _envelope_value(code, par1, cs, cs_dt, t):
     if code == DRIVE_FROZEN:
         return par1
@@ -97,7 +79,7 @@ def _envelope_value(code, par1, cs, cs_dt, t):
     x = t / cs_dt
     if x <= 0.0:
         return cs[0]
-    n = cs.shape[0]
+    n = len(cs)
     if x >= n - 1:
         return cs[n - 1]
     i = int(x)
@@ -105,7 +87,6 @@ def _envelope_value(code, par1, cs, cs_dt, t):
     return cs[i] * (1.0 - frac) + cs[i + 1] * frac
 
 
-@njit(cache=True, nogil=True)
 def _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps, t, v, w):
     if code == DRIVE_RAW:
         dv = v - v * v * v / 3.0 - w \
@@ -118,11 +99,12 @@ def _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps, t, v, w):
     return dv, dw
 
 
-@njit(cache=True, nogil=True)
 def rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
                    v0, w0, t0, t_final, dt, stride):
     """Fixed-step RK4 over [t0, t_final]; the last step is clipped to land exactly.
 
+    Step i starts at t0 + i*dt and lasts h = min(dt, t_final - t), with its
+    stages at t, t + h/2 and t + h; the last step ends on t_final itself.
     Returns (t, v, w, n_samples, ok, vmax_abs, wmax_abs). ok = 0 means the state
     went non-finite; the recorded samples end at the last finite state.
     """
@@ -171,7 +153,6 @@ def rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
     return ts, vs, ws, n, ok, vmax, wmax
 
 
-@njit(cache=True, nogil=True)
 def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
                     v0, w0, t0, t_final, rel_tol, abs_tol, max_dt, stride):
     """Adaptive Dormand-Prince 5(4) over [t0, t_final], step capped at max_dt.
@@ -238,7 +219,7 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
         scw = abs_tol + rel_tol * max(abs(w), abs(w5))
         try:
             errn = math.sqrt(((errv / scv) ** 2 + (errw / scw) ** 2) / 2.0)
-        except Exception:  # ** overflows on a huge error; numba matches only Exception
+        except OverflowError:  # ** overflows on a huge error
             errn = math.inf
         if errn <= 1.0:
             t = t + h
@@ -285,66 +266,17 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
     return ts, vs, ws, n, ok, vmax, wmax
 
 
-@njit(cache=True, nogil=True)
 def cosine_cell_spikes(A, B, beta, gamma, eps, eta, v0, w0, t_final, dt, fire, arm):
-    """One sweep cell: RK4 under a cosine envelope with in-loop hysteresis counting.
+    """One sweep cell, the scalar oracle of cosine_ensemble_spikes.
 
-    The detector starts armed, fires on v >= fire, and re-arms once v < arm.
-    Returns (count, ok, vmax_abs, wmax_abs).
+    rk4_trajectory under the cosine envelope of beat eta from t = 0, every step
+    kept, then spike_scan over the samples: the detector starts armed, fires
+    on v >= fire and re-arms once v < arm. Returns (count, ok, vmax_abs, wmax_abs).
     """
-    rho = 1.0 - A * A / 2.0 - B * B / 2.0
-    nst = int(math.ceil(t_final / dt - 1e-12))
-    t = 0.0
-    v = v0
-    w = w0
-    armed = True
-    count = 0
-    if v >= fire:
-        count = 1
-        armed = False
-    vmax = abs(v)
-    wmax = abs(w)
-    ok = 1
-    for i in range(nst):
-        h = t_final - t
-        if h > dt:
-            h = dt
-        r1 = rho - A * B * math.cos(eta * t)
-        k1v = r1 * v - v * v * v / 3.0 - w
-        k1w = eps * (v - gamma * w + beta)
-        th = t + h / 2.0
-        r2 = rho - A * B * math.cos(eta * th)
-        av = v + h / 2.0 * k1v
-        aw = w + h / 2.0 * k1w
-        k2v = r2 * av - av * av * av / 3.0 - aw
-        k2w = eps * (av - gamma * aw + beta)
-        av = v + h / 2.0 * k2v
-        aw = w + h / 2.0 * k2w
-        k3v = r2 * av - av * av * av / 3.0 - aw
-        k3w = eps * (av - gamma * aw + beta)
-        te = t + h
-        r4 = rho - A * B * math.cos(eta * te)
-        av = v + h * k3v
-        aw = w + h * k3w
-        k4v = r4 * av - av * av * av / 3.0 - aw
-        k4w = eps * (av - gamma * aw + beta)
-        v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        w = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        t = te
-        if not (math.isfinite(v) and math.isfinite(w)):
-            ok = 0
-            break
-        if abs(v) > vmax:
-            vmax = abs(v)
-        if abs(w) > wmax:
-            wmax = abs(w)
-        if armed:
-            if v >= fire:
-                count += 1
-                armed = False
-        elif v < arm:
-            armed = True
-    return count, ok, vmax, wmax
+    _, vs, _, n, ok, vmax, wmax = rk4_trajectory(DRIVE_COSINE, eta, 0.0, (), 1.0,
+                                                 A, B, beta, gamma, eps,
+                                                 v0, w0, 0.0, t_final, dt, 1)
+    return len(spike_scan(vs[:n], fire, arm)), ok, vmax, wmax
 
 
 # elements per envelope table of cosine_ensemble_spikes: a block of steps covers
@@ -356,11 +288,11 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
     """Many sweep cells at once: cosine_cell_spikes stepped in lockstep on arrays.
 
     The per-cell arguments A..arm broadcast to one shape; t_final, dt and fire
-    are shared, so every cell takes the same steps. The arithmetic keeps the
-    scalar kernel's operation order, and a cell stops counting at its first
-    non-finite state, where the scalar loop breaks, so the result equals
-    cosine_cell_spikes cell by cell. Returns (counts, ok), int64 and bool
-    arrays of the broadcast shape.
+    are shared, so every cell takes the same steps, on rk4_trajectory's time
+    rule. The arithmetic keeps the scalar kernel's operation order, and a cell
+    stops counting at its first non-finite state, where the scalar loop
+    breaks, so the result equals cosine_cell_spikes cell by cell. Returns
+    (counts, ok), int64 and bool arrays of the broadcast shape.
     """
     cells = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
                                   for x in (A, B, beta, gamma, eps, eta, v0, w0, arm)))
@@ -373,25 +305,14 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
     ok = np.ones(v.size, dtype=bool)
     nst = int(math.ceil(t_final / dt - 1e-12)) if v.size else 0
     block = max(1, _ENSEMBLE_BLOCK // max(1, v.size))
-    t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nst, block):
-            # the step times accumulate exactly as in the scalar kernel
-            hs = []
-            t_mid = []
-            t_node = [t]
-            for _ in range(min(block, nst - start)):
-                h = t_final - t
-                if h > dt:
-                    h = dt
-                hs.append(h)
-                t_mid.append(t + h / 2.0)
-                t = t + h
-                t_node.append(t)
-            r_node = rho - AB * np.cos(eta * np.array(t_node)[:, None])
-            r_mid = rho - AB * np.cos(eta * np.array(t_mid)[:, None])
-            for i, h in enumerate(hs):
-                r1, r2, r4 = r_node[i], r_mid[i], r_node[i + 1]
+            t = np.arange(start, min(start + block, nst)) * dt
+            hs = np.minimum(dt, t_final - t)
+            r_start, r_mid, r_end = (rho - AB * np.cos(eta * ts[:, None])
+                                     for ts in (t, t + hs / 2.0, t + hs))
+            for i, h in enumerate(hs.tolist()):
+                r1, r2, r4 = r_start[i], r_mid[i], r_end[i]
                 k1v = r1 * v - v * v * v / 3.0 - w
                 k1w = eps * (v - gamma * w + beta)
                 av = v + h / 2.0 * k1v
@@ -415,7 +336,6 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
     return counts.reshape(shape), ok.reshape(shape)
 
 
-@njit(cache=True, nogil=True)
 def spike_scan(v, fire, arm):
     """Hysteresis spike detection over a sampled v trace; returns sample indices."""
     n = v.shape[0]
@@ -449,7 +369,6 @@ _WARM_ITERS = 8
 _WARM_STEP_TOL = 1e-13
 
 
-@njit(cache=True, nogil=True)
 def _newton_leftmost(p, q, t0):
     """Newton on t**3 + p*t + q = 0 from t0; returns (certified, t).
 
@@ -471,7 +390,6 @@ def _newton_leftmost(p, q, t0):
     return False, t
 
 
-@njit(cache=True, nogil=True)
 def _leftmost_root_near(p, q, t0):
     """leftmost_cubic_root(p, q), by certified Newton from t0 where it converges."""
     certified, t = _newton_leftmost(p, q, t0)
@@ -480,7 +398,6 @@ def _leftmost_root_near(p, q, t0):
     return leftmost_cubic_root(p, q)
 
 
-@njit(cache=True, nogil=True)
 def _stage_status(rc, v, tol_denom):
     """Check of one transport stage with gain rc and recovered v.
 
@@ -496,7 +413,6 @@ def _stage_status(rc, v, tol_denom):
     return 1
 
 
-@njit(cache=True, nogil=True)
 def _transport_rk4(rho, AB, beta, gamma, kappa, phi0, s, w, v, rc, h, tol_denom):
     """One RK4 step of dw/ds = v - gamma*w + beta from the root v at (s, w).
 
@@ -538,7 +454,6 @@ def _transport_rk4(rho, AB, beta, gamma, kappa, phi0, s, w, v, rc, h, tol_denom)
     return 1, w_new, v_new, rc_end
 
 
-@njit(cache=True, nogil=True)
 def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, stride):
     """Transport a left-branch point along the moving nullcline family.
 

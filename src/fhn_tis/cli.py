@@ -7,6 +7,7 @@ formatting so results are diffable across runs and platforms.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,9 +22,9 @@ from .singular import (CubicPoint, escape_cycle_check, integrate_singular,
                        kappa_threshold, predicts_no_tonic)
 from .sim import (AdaptiveRK45, FixedRK4, IntegratorConfig, count_spikes, simulate)
 from .errors import RegionPreconditionError
-from .experiments import (GridSpec, SweepSpec, desk_grid_specs, desk_sweep_spec,
-                          paper_grid_specs, paper_sweep_spec, run_experiment1,
-                          run_experiment2, save_grid_results, save_sweep_results)
+from .experiments import (desk_grid_specs, desk_sweep_spec, paper_grid_specs,
+                          paper_sweep_spec, run_experiment1, run_experiment2,
+                          save_grid_results, save_sweep_results)
 
 _PARAM_FLAGS = ("A", "B", "beta", "gamma", "epsilon")
 
@@ -143,6 +144,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.decimate < 1:
+        raise ConfigError(f"decimate must be >= 1, got {args.decimate}", key="decimate")
     cfg = _load_config(args.config)
     p = _build_params(args, cfg)
     drive = _build_drive(args, cfg)
@@ -153,10 +156,9 @@ def _cmd_simulate(args) -> int:
     print(f"samples={traj.t.size} t_final={args.t_final!r} "
           f"spikes={report.count} tonic={_yesno(report.tonic)}")
     if args.out_csv:
-        dec = max(1, args.decimate)
         with open(args.out_csv, "w") as fh:
             fh.write("t,v,w\n")
-            for i in range(0, traj.t.size, dec):
+            for i in range(0, traj.t.size, args.decimate):
                 fh.write(f"{float(traj.t[i])!r},{float(traj.v[i])!r},"
                          f"{float(traj.w[i])!r}\n")
         print(f"wrote {args.out_csv}")
@@ -221,18 +223,12 @@ def _cmd_kappa_threshold(args) -> int:
 
 
 def _cmd_sweep_exp1(args) -> int:
-    if args.preset == "paper":
-        spec = paper_sweep_spec(beta=args.beta if args.beta is not None else 0.8,
-                                gamma=args.gamma if args.gamma is not None else 0.5)
-    else:
-        spec = desk_sweep_spec(beta=args.beta if args.beta is not None else 0.8,
-                               gamma=args.gamma if args.gamma is not None else 0.5)
+    preset = paper_sweep_spec if args.preset == "paper" else desk_sweep_spec
+    # the presets own the beta and gamma defaults
+    spec = preset(**{k: getattr(args, k) for k in ("beta", "gamma")
+                     if getattr(args, k) is not None})
     if args.t_final is not None:
-        spec = SweepSpec(amplitude_list=spec.amplitude_list,
-                         kappa_range=spec.kappa_range,
-                         epsilon_range=spec.epsilon_range,
-                         t_final=args.t_final, beta=spec.beta, gamma=spec.gamma,
-                         ic_policy=spec.ic_policy, integrator=spec.integrator)
+        spec = dataclasses.replace(spec, t_final=args.t_final)
     results = run_experiment1(spec)
     for res in results:
         frac = float((res.counts >= 2).mean())

@@ -8,8 +8,10 @@ one (kappa, epsilon) cell and sweeps a square of initial conditions, comparing
 the observed counts against the arc-based prediction.
 
 The cells of one call are integrated together in lockstep as one numpy
-ensemble (``_kernels.cosine_ensemble_spikes``), whose counts equal the scalar
-cell kernel's cell by cell, so reruns are bit-identical.
+ensemble (``_kernels.cosine_ensemble_spikes``), on the time rule of the
+fixed-step simulator (``_kernels.rk4_trajectory``). Its counts equal the
+scalar cell kernel's, which runs on that simulator, cell by cell, and reruns
+are bit-identical.
 """
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigError, DomainError, UnsupportedDriveError
 
 
@@ -159,15 +160,8 @@ def envelope(drive: Drive, t: float) -> float:
     if isinstance(drive, FrozenConstant):
         return drive.c
     if isinstance(drive, CustomSampled):
-        n = drive.values.shape[0]
-        x = t / drive.dt
-        if x <= 0.0:
-            return float(drive.values[0])
-        if x >= n - 1:
-            return float(drive.values[n - 1])
-        i = int(x)
-        frac = x - i
-        return float(drive.values[i] * (1.0 - frac) + drive.values[i + 1] * frac)
+        return float(_kernels._envelope_value(_kernels.DRIVE_CUSTOM, 0.0, drive.values,
+                                              drive.dt, t))
     if isinstance(drive, RawInterference):
         raise UnsupportedDriveError(
             "the raw two-carrier drive has no bounded envelope; use rhs_full")

@@ -85,7 +85,8 @@ def _drive_code(drive: Drive):
     if isinstance(drive, RawInterference):
         return _kernels.DRIVE_RAW, drive.omega1, drive.omega2, np.empty(0), 1.0
     if isinstance(drive, CustomSampled):
-        return _kernels.DRIVE_CUSTOM, 0.0, 0.0, drive.values, drive.dt
+        # a list, so the kernels' arithmetic stays on Python floats
+        return _kernels.DRIVE_CUSTOM, 0.0, 0.0, drive.values.tolist(), drive.dt
     raise DomainError(f"unsupported drive type {type(drive).__name__}")
 
 

@@ -1,4 +1,3 @@
-import math
 import sys
 from pathlib import Path
 
@@ -7,24 +6,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import fhn_tis as ft
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile every hot kernel once so timed tests measure runtime, not JIT cost
-    p = ft.Params(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.1)
-    ic = ft.State(0.0, 0.0)
-    ft.count_spikes(ft.simulate(p, ft.FrozenConstant(c=0.5), ic, 1.0))
-    ft.simulate(p, ft.AveragedCosine(eta=1.0), ic, 1.0)
-    ft.simulate(p, ft.SignCosine(eta=1.0), ic, 8.0)
-    ft.simulate(p, ft.RawInterference(omega1=50.0, omega2=51.0), ic, 0.5)
-    cfg = ft.IntegratorConfig(method=ft.AdaptiveRK45(), sample_stride=1)
-    ft.simulate(p, ft.AveragedCosine(eta=1.0), ic, 1.0, cfg)
-    eq = ft.equilibrium(p, -1.0)
-    ft.integrate_singular(p, 2.0, math.pi, ft.CubicPoint(eq.v_e, eq.w_e, -1.0), 0.05)
-    from fhn_tis import _kernels
-    _kernels.cosine_cell_spikes(0.3, 0.3, 0.8, 0.5, 0.1, 0.1, 0.0, 0.0,
-                                1.0, 0.5, 0.0, -0.5)
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """The benchmark in perfbench/ reaches into the package by name: its warm-up
-calls the kernels with fixed signatures, and its tracer replaces module
-attributes and must put them back. A rename that breaks either, or a layer
-that stops calling another through the traced name, fails here."""
+calls the kernels with fixed signatures, its environment record reads
+_kernels.NUMBA_ENABLED, and its tracer replaces module attributes and must put
+them back. A rename that breaks any of these, or a layer that stops calling
+another through the traced name, fails here."""
 import importlib
 from pathlib import Path
 
@@ -16,6 +17,7 @@ def test_benchmark_warmup_and_tracer_resolve(monkeypatch):
     run = importlib.import_module("run")
     tracing = importlib.import_module("tracing")
     run._warm_kernels()
+    assert run._environment()["numba_enabled"] is False
     original = frozen.classify_region
     p = ft.Params(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.1)
     tracer = tracing.Tracer()

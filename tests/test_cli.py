@@ -93,6 +93,7 @@ def test_simulate_rejects_bad_drive_value(capsys):
     (["--dt", "0"], "dt"),
     (["--stride", "0"], "sample_stride"),
     (["--method", "adaptive", "--max-dt", "0"], "max_dt"),
+    (["--decimate", "0"], "decimate"),
 ])
 def test_simulate_rejects_zero_step_settings(flags, key, capsys):
     # an explicit 0 must not fall back to the default value

@@ -1,50 +1,26 @@
-"""Kernel paths that must compute the same numbers: compiled and pure-Python,
-the numpy ensemble cell counter against the scalar one, and the warm-started
-cubic root of the arc transport against the closed-form one."""
-import importlib.util
+"""Kernel paths that must compute the same numbers: the closed-form cubic
+root against bisection, the numpy ensemble cell counter against the scalar
+one, and the warm-started cubic root of the arc transport against the
+closed-form one."""
 import math
-import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import fhn_tis as ft
 import fhn_tis._kernels as fast
 
 import oracles
 
-EMPTY = np.empty(0)
 
-
-@pytest.fixture(scope="module")
-def pure():
-    old = os.environ.get("FHN_TIS_NO_NUMBA")
-    os.environ["FHN_TIS_NO_NUMBA"] = "1"
-    try:
-        spec = importlib.util.spec_from_file_location("fhn_tis_kernels_pure",
-                                                      fast.__file__)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-    finally:
-        if old is None:
-            os.environ.pop("FHN_TIS_NO_NUMBA", None)
-        else:
-            os.environ["FHN_TIS_NO_NUMBA"] = old
-    assert not mod.NUMBA_ENABLED
-    return mod
-
-
-def test_cubic_root_parity_and_correctness(pure):
+def test_cubic_root_parity_and_correctness():
     rng = np.random.default_rng(71)
     cases = [(0.0, 0.0), (-3.0, 0.0), (-3.0, 2.0), (-3.0, -2.0), (1.0, 1.0)]
     cases += [(float(p), float(q))
               for p, q in rng.uniform(-5, 5, size=(500, 2))]
     for p, q in cases:
         a = fast.leftmost_cubic_root(p, q)
-        b = pure.leftmost_cubic_root(p, q)
-        assert a == pytest.approx(b, abs=1e-12)
         assert abs(a ** 3 + p * a + q) < 1e-9
         assert a == pytest.approx(oracles.bisect_leftmost_root(p, q), abs=1e-8)
 
@@ -77,76 +53,6 @@ def test_warm_root_rejects_other_roots():
     certified, t = fast._newton_leftmost(-3.0, 0.0, -1.7)
     assert certified
     assert t == pytest.approx(-math.sqrt(3.0), abs=1e-15)
-
-
-def test_envelope_interpolation_parity(pure):
-    cs = np.array([0.0, 1.0, -1.0, 0.5])
-    for t in (-1.0, 0.0, 0.4, 1.0, 2.7, 5.0):
-        a = fast._envelope_value(fast.DRIVE_CUSTOM, 0.0, cs, 1.0, t)
-        b = pure._envelope_value(pure.DRIVE_CUSTOM, 0.0, cs, 1.0, t)
-        assert a == b
-
-
-def test_rk4_parity(pure):
-    args = (fast.DRIVE_COSINE, 0.04, 0.0, EMPTY, 1.0,
-            0.3, 0.3, 0.8, 0.5, 0.02, 0.0, -0.478, 0.0, 50.0, 0.01, 10)
-    ta, va, wa, na, oka, vma, wma = fast.rk4_trajectory(*args)
-    tb, vb, wb, nb, okb, vmb, wmb = pure.rk4_trajectory(*args)
-    assert (na, oka) == (nb, okb)
-    assert np.allclose(ta[:na], tb[:nb], atol=1e-12)
-    assert np.allclose(va[:na], vb[:nb], atol=1e-12)
-    assert np.allclose(wa[:na], wb[:nb], atol=1e-12)
-    assert vma == pytest.approx(vmb, abs=1e-12)
-    assert wma == pytest.approx(wmb, abs=1e-12)
-
-
-def test_dp45_parity(pure):
-    args = (fast.DRIVE_FROZEN, 1.0, 0.0, EMPTY, 1.0,
-            0.3, 0.3, 0.8, 0.5, 0.1, 0.0, -0.478, 0.0, 50.0,
-            1e-8, 1e-8, 1.0, 1)
-    ta, va, wa, na, oka, _, _ = fast.dp45_trajectory(*args)
-    tb, vb, wb, nb, okb, _, _ = pure.dp45_trajectory(*args)
-    assert (na, oka) == (nb, okb)
-    assert np.allclose(ta[:na], tb[:nb], atol=1e-10)
-    assert np.allclose(va[:na], vb[:nb], atol=1e-10)
-    assert np.allclose(wa[:na], wb[:nb], atol=1e-10)
-
-
-def test_cell_spike_counter_parity(pure):
-    for kappa, eps in ((1.0, 0.02), (2.0, 0.02), (2.0, 0.1), (0.5, 0.05)):
-        args = (0.3, 0.3, 0.8, 0.5, eps, kappa * eps,
-                0.0, -0.478, 100.0, 0.01, 0.0, -0.56)
-        ca, oka, vma, wma = fast.cosine_cell_spikes(*args)
-        cb, okb, vmb, wmb = pure.cosine_cell_spikes(*args)
-        assert (ca, oka) == (cb, okb)
-        assert vma == pytest.approx(vmb, abs=1e-12)
-        assert wma == pytest.approx(wmb, abs=1e-12)
-
-
-def test_spike_scan_parity(pure):
-    rng = np.random.default_rng(73)
-    for _ in range(50):
-        v = rng.uniform(-1.5, 1.5, size=200)
-        a = fast.spike_scan(v, 0.0, -0.5)
-        b = pure.spike_scan(v, 0.0, -0.5)
-        assert np.array_equal(a, b)
-
-
-def test_transport_arc_parity(pure):
-    p = ft.Params(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.1)
-    eq = ft.equilibrium(p, 1.0)
-    args = (0.3, 0.3, 0.8, 0.5, 2.0, 0.0, eq.w_e,
-            math.pi / 2.0, 5e-4, 1e-6, 8)
-    sa, va, wa, ca, na, codea, tsa, tca, tva, twa = fast.transport_arc(*args)
-    sb, vb, wb, cb, nb, codeb, tsb, tcb, tvb, twb = pure.transport_arc(*args)
-    assert (na, codea) == (nb, codeb)
-    assert tsa == pytest.approx(tsb, abs=1e-12)
-    assert tca == pytest.approx(tcb, abs=1e-12)
-    assert tva == pytest.approx(tvb, abs=1e-12)
-    assert twa == pytest.approx(twb, abs=1e-12)
-    assert np.allclose(sa[:na], sb[:nb], atol=1e-12)
-    assert np.allclose(va[:na], vb[:nb], atol=1e-12)
-    assert np.allclose(wa[:na], wb[:nb], atol=1e-12)
 
 
 def test_ensemble_matches_scalar_cell_kernel():
