@@ -3,9 +3,15 @@
 The scalar kernels keep to Python floats, because arithmetic on numpy scalars
 is several times slower; a sampled envelope therefore comes in as a list.
 rk4_trajectory is the one scalar RK4 loop: simulate's fixed-step path and the
-scalar sweep cell cosine_cell_spikes both run on it. cosine_ensemble_spikes
-steps many sweep cells at once on numpy arrays, on the same time rule, and
-gives cosine_cell_spikes' counts cell by cell.
+scalar sweep cell cosine_cell_spikes both run on it. Its stage times are known
+in advance, so it takes the drive from tables built with numpy for blocks of
+1024 steps (the gain r at the three stage times of each step, and the raw
+drive's two carrier terms) and runs one inlined RK4 body over them; the
+samples are bit-identical to those of stage-wise _rhs calls, which only the
+adaptive dp45_trajectory still makes. cosine_ensemble_spikes steps many sweep
+cells at once on numpy arrays, on the same time rule, and gives
+cosine_cell_spikes' counts cell by cell. spike_scan makes one pass over the
+samples as Python floats.
 """
 import math
 
@@ -88,6 +94,12 @@ def _envelope_value(code, par1, cs, cs_dt, t):
 
 
 def _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps, t, v, w):
+    """Right-hand side (dv/dt, dw/dt) at one time and state.
+
+    Only dp45_trajectory calls it: its stage times depend on the accepted
+    step sizes, so they are not known in advance. rk4_trajectory evaluates
+    the same terms from _stage_tables instead.
+    """
     if code == DRIVE_RAW:
         dv = v - v * v * v / 3.0 - w \
             + A * par1 * math.cos(par1 * t) + B * par2 * math.cos(par2 * t)
@@ -99,12 +111,52 @@ def _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps, t, v, w):
     return dv, dw
 
 
+# steps per block of rk4_trajectory's stage tables: the tables of one block
+# hold about ten thousand floats, so memory stays flat at any horizon
+_RK4_BLOCK = 1024
+
+
+def _stage_tables(code, par1, par2, cs, cs_dt, A, B, times):
+    """The drive terms of _rhs at an array of times, as nested lists.
+
+    dv = r*v - v**3/3 - w + a + b, with the gain r = rho - AB*f(t) and the raw
+    drive's two carrier terms a = A*omega1*cos(omega1*t) and
+    b = B*omega2*cos(omega2*t). The raw drive has r = 1.0 and the envelope
+    drives a = b = 0.0, which leave dv bit for bit as _rhs computes it.
+    Returns (r, a, b), each times.tolist() in shape.
+    """
+    if code == DRIVE_RAW:
+        return (np.ones_like(times).tolist(),
+                (A * par1 * np.cos(par1 * times)).tolist(),
+                (B * par2 * np.cos(par2 * times)).tolist())
+    zeros = np.zeros_like(times).tolist()
+    rho = 1.0 - A * A / 2.0 - B * B / 2.0
+    AB = A * B
+    if code == DRIVE_COSINE:
+        return (rho - AB * np.cos(par1 * times)).tolist(), zeros, zeros
+    if code == DRIVE_FROZEN:
+        return np.full_like(times, rho - AB * par1).tolist(), zeros, zeros
+    return ([[rho - AB * _envelope_value(code, par1, cs, cs_dt, t) for t in row]
+             for row in times.tolist()], zeros, zeros)
+
+
 def rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
                    v0, w0, t0, t_final, dt, stride):
     """Fixed-step RK4 over [t0, t_final]; the last step is clipped to land exactly.
 
-    Step i starts at t0 + i*dt and lasts h = min(dt, t_final - t), with its
-    stages at t, t + h/2 and t + h; the last step ends on t_final itself.
+    Step i starts at t_i = t0 + i*dt and lasts h_i = min(dt, t_final - t_i),
+    with its stages at t_i, t_i + h_i/2 and t_i + h_i; the last step ends on
+    t_final itself. The drive comes from tables: for each block of
+    _RK4_BLOCK (1024) steps, the stage times are numpy arrays and
+    _stage_tables evaluates the gain r and the raw drive's two carrier terms
+    at them, as lists; one RK4 body then steps through the lists on Python
+    floats. Every stage time and drive term is computed with the operations
+    and in the order of a per-stage _rhs call, and numpy's elementwise
+    arithmetic and cos round as Python's float arithmetic and math.cos do,
+    so the outputs are bit-identical to a loop calling _rhs four times a
+    step (tests/test_kernel_parity.py checks this against such a loop). The
+    end stage is at t_i + h_i, which can differ from t_{i+1} in the last bit.
+
     Returns (t, v, w, n_samples, ok, vmax_abs, wmax_abs). ok = 0 means the state
     went non-finite; the recorded samples end at the last finite state.
     """
@@ -114,42 +166,56 @@ def rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
     ts = np.empty(cap)
     vs = np.empty(cap)
     ws = np.empty(cap)
-    t = t0
     v = v0
     w = w0
-    ts[0] = t
+    ts[0] = t0
     vs[0] = v
     ws[0] = w
     n = 1
     vmax = abs(v)
     wmax = abs(w)
     ok = 1
-    for i in range(nst):
-        h = t_final - t
-        if h > dt:
-            h = dt
-        k1v, k1w = _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps, t, v, w)
-        k2v, k2w = _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
-                        t + h / 2.0, v + h / 2.0 * k1v, w + h / 2.0 * k1w)
-        k3v, k3w = _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
-                        t + h / 2.0, v + h / 2.0 * k2v, w + h / 2.0 * k2w)
-        k4v, k4w = _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
-                        t + h, v + h * k3v, w + h * k3w)
-        v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        w = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        t = t0 + (i + 1) * dt if i + 1 < nst else t_final
-        if not (math.isfinite(v) and math.isfinite(w)):
-            ok = 0
+    isfinite = math.isfinite
+    for start in range(0, nst, _RK4_BLOCK):
+        t = t0 + np.arange(start, min(start + _RK4_BLOCK, nst)) * dt
+        hs = np.minimum(dt, t_final - t)
+        r, a, b = _stage_tables(code, par1, par2, cs, cs_dt, A, B,
+                                np.stack((t, t + hs / 2.0, t + hs)))
+        i = start
+        for h, r1, r2, r4, a1, a2, a4, b1, b2, b4 in zip(hs.tolist(), *r, *a, *b):
+            k1v = r1 * v - v * v * v / 3.0 - w + a1 + b1
+            k1w = eps * (v - gamma * w + beta)
+            hh = h / 2.0
+            av = v + hh * k1v
+            aw = w + hh * k1w
+            k2v = r2 * av - av * av * av / 3.0 - aw + a2 + b2
+            k2w = eps * (av - gamma * aw + beta)
+            av = v + hh * k2v
+            aw = w + hh * k2w
+            k3v = r2 * av - av * av * av / 3.0 - aw + a2 + b2
+            k3w = eps * (av - gamma * aw + beta)
+            av = v + h * k3v
+            aw = w + h * k3w
+            k4v = r4 * av - av * av * av / 3.0 - aw + a4 + b4
+            k4w = eps * (av - gamma * aw + beta)
+            h6 = h / 6.0
+            v = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            w = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            i += 1
+            if not (isfinite(v) and isfinite(w)):
+                ok = 0
+                break
+            if abs(v) > vmax:
+                vmax = abs(v)
+            if abs(w) > wmax:
+                wmax = abs(w)
+            if i % stride == 0 or i == nst:
+                ts[n] = t0 + i * dt if i < nst else t_final
+                vs[n] = v
+                ws[n] = w
+                n += 1
+        if not ok:
             break
-        if abs(v) > vmax:
-            vmax = abs(v)
-        if abs(w) > wmax:
-            wmax = abs(w)
-        if (i + 1) % stride == 0 or i == nst - 1:
-            ts[n] = t
-            vs[n] = v
-            ws[n] = w
-            n += 1
     return ts, vs, ws, n, ok, vmax, wmax
 
 
@@ -337,29 +403,24 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
 
 
 def spike_scan(v, fire, arm):
-    """Hysteresis spike detection over a sampled v trace; returns sample indices."""
-    n = v.shape[0]
-    count = 0
+    """Hysteresis spike detection over a sampled v trace; returns sample indices.
+
+    The detector starts armed, fires on v >= fire and re-arms once v < arm; a
+    NaN sample does neither. One pass over v.tolist(), so every comparison
+    is between Python floats. Returns an int64 array.
+    """
+    fire = float(fire)
+    arm = float(arm)
+    idx = []
     armed = True
-    for i in range(n):
+    for i, x in enumerate(v.tolist()):
         if armed:
-            if v[i] >= fire:
-                count += 1
+            if x >= fire:
+                idx.append(i)
                 armed = False
-        elif v[i] < arm:
+        elif x < arm:
             armed = True
-    idx = np.empty(count, np.int64)
-    j = 0
-    armed = True
-    for i in range(n):
-        if armed:
-            if v[i] >= fire:
-                idx[j] = i
-                j += 1
-                armed = False
-        elif v[i] < arm:
-            armed = True
-    return idx
+    return np.array(idx, dtype=np.int64)
 
 
 # a warm-started Newton root is tried for this many iterations, and counts as

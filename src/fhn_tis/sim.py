@@ -184,8 +184,7 @@ def count_spikes(traj: Trajectory, arm_level: Optional[float] = None,
     if not (arm_level < fire_level):
         raise DomainError(
             f"arm_level must be below fire_level, got {arm_level} >= {fire_level}")
-    idx = _kernels.spike_scan(np.ascontiguousarray(traj.v, dtype=np.float64),
-                              fire_level, arm_level)
+    idx = _kernels.spike_scan(traj.v, fire_level, arm_level)
     times = tuple(float(traj.t[i]) for i in idx)
     return SpikeReport(spike_times=times, count=len(times), tonic=len(times) >= 2)
 

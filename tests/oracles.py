@@ -4,6 +4,9 @@ Everything here is deliberately written with a different algorithm than the
 package: bisection instead of closed-form root selection, sign-change scans
 instead of discriminants, dense grid scans instead of golden-section search,
 scipy's adaptive DOP853 with event location instead of fixed-step RK4 arcs.
+The fixed-step reference stepper is the exception: it keeps the kernel's
+arithmetic order, so the two can be compared bit for bit, but evaluates its
+own right-hand side at every stage.
 """
 import math
 
@@ -137,3 +140,87 @@ def box_distance(v, w, L, S):
     dv = max(abs(v) - L, 0.0)
     dw = max(abs(w) - S, 0.0)
     return math.hypot(dv, dw)
+
+
+def hysteresis_indices(v, fire, arm):
+    """Spike sample indices by alternating searches.
+
+    The first sample at or above fire is a spike; after it, the first sample
+    below arm re-arms the detector, and the search for the next spike starts
+    there. A NaN sample satisfies neither comparison.
+    """
+    v = np.asarray(v, dtype=float)
+    out = []
+    start = 0
+    while True:
+        hits = np.flatnonzero(v[start:] >= fire)
+        if hits.size == 0:
+            return out
+        spike = start + int(hits[0])
+        out.append(spike)
+        rearm = np.flatnonzero(v[spike + 1:] < arm)
+        if rearm.size == 0:
+            return out
+        start = spike + 1 + int(rearm[0])
+
+
+def reference_rk4(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final, dt, stride):
+    """Fixed-step RK4 with the right-hand side evaluated anew at every stage.
+
+    kind is "frozen" (args (c,)), "cosine" (eta,), "raw" (omega1, omega2) or
+    "custom" (values, spacing; linear interpolation, clamped outside the
+    samples). Step i starts at t0 + i*dt and lasts min(dt, t_final - t), with
+    stages at t, t + h/2 and t + h; a sample is kept every stride steps and
+    at the end. Arithmetic follows the kernel's order, so results can match
+    bit for bit. Returns (t, v, w, n, ok, vmax, wmax), the arrays of length n;
+    ok = 0 when the state went non-finite, with the samples ending before it.
+    """
+    rho = 1.0 - A * A / 2.0 - B * B / 2.0
+
+    def envelope(t):
+        if kind == "frozen":
+            return args[0]
+        if kind == "cosine":
+            return math.cos(args[0] * t)
+        values, spacing = args
+        x = t / spacing
+        if x <= 0.0:
+            return values[0]
+        if x >= len(values) - 1:
+            return values[-1]
+        k = math.floor(x)
+        frac = x - k
+        return values[k] * (1.0 - frac) + values[k + 1] * frac
+
+    def rhs(t, v, w):
+        cubic = v * v * v / 3.0
+        if kind == "raw":
+            w1, w2 = args
+            dv = v - cubic - w + A * w1 * math.cos(w1 * t) + B * w2 * math.cos(w2 * t)
+        else:
+            dv = (rho - A * B * envelope(t)) * v - cubic - w
+        return dv, eps * (v - gamma * w + beta)
+
+    steps = math.ceil((t_final - t0) / dt - 1e-12) if t_final > t0 else 0
+    t, v, w = t0, v0, w0
+    ts, vs, ws = [t], [v], [w]
+    vmax, wmax = abs(v), abs(w)
+    ok = 1
+    for i in range(steps):
+        h = min(dt, t_final - t)
+        k1 = rhs(t, v, w)
+        k2 = rhs(t + h / 2.0, v + h / 2.0 * k1[0], w + h / 2.0 * k1[1])
+        k3 = rhs(t + h / 2.0, v + h / 2.0 * k2[0], w + h / 2.0 * k2[1])
+        k4 = rhs(t + h, v + h * k3[0], w + h * k3[1])
+        v = v + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        w = w + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        t = t0 + (i + 1) * dt if i + 1 < steps else t_final
+        if not (math.isfinite(v) and math.isfinite(w)):
+            ok = 0
+            break
+        vmax, wmax = max(vmax, abs(v)), max(wmax, abs(w))
+        if (i + 1) % stride == 0 or i + 1 == steps:
+            ts.append(t)
+            vs.append(v)
+            ws.append(w)
+    return np.array(ts), np.array(vs), np.array(ws), len(ts), ok, vmax, wmax

@@ -1,7 +1,8 @@
 """Kernel paths that must compute the same numbers: the closed-form cubic
 root against bisection, the numpy ensemble cell counter against the scalar
-one, and the warm-started cubic root of the arc transport against the
-closed-form one."""
+one, the warm-started cubic root of the arc transport against the
+closed-form one, the table-driven RK4 stepper against a stage-wise
+reference, and the spike scan against alternating searches."""
 import math
 
 import numpy as np
@@ -85,3 +86,66 @@ def test_ensemble_matches_scalar_cell_kernel():
         diverged |= set(np.flatnonzero(~ok).tolist())
     assert {1, 2} <= diverged
 
+
+
+def _rk4_bits(out):
+    t, v, w, n, ok, vmax, wmax = out
+    return ([a[:n].view(np.int64).tolist() for a in (t, v, w)], n, ok,
+            np.float64(vmax).view(np.int64), np.float64(wmax).view(np.int64))
+
+
+def test_rk4_trajectory_matches_stagewise_reference():
+    # the stage tables must give, bit for bit, the samples of a loop that
+    # evaluates the right-hand side at every stage
+    rng = np.random.default_rng(83)
+    values = rng.uniform(-1.0, 1.0, 9).tolist()
+    drives = {"frozen": (fast.DRIVE_FROZEN, 0.4, 0.0, (), 1.0, (0.4,)),
+              "cosine": (fast.DRIVE_COSINE, 0.07, 0.0, (), 1.0, (0.07,)),
+              "raw": (fast.DRIVE_RAW, 6.0, 6.07, (), 1.0, (6.0, 6.07)),
+              # samples cover [0, 4]: every run below also steps where the
+              # envelope clamps to the first or last value
+              "custom": (fast.DRIVE_CUSTOM, 0.0, 0.0, values, 0.5, (values, 0.5))}
+    # (v0, w0, t0, t_final, dt, stride); the last step of the second and the
+    # third run is clipped, and the third run takes 3 blocks of steps, so its
+    # clipped step is the last of a block
+    steps = 3 * fast._RK4_BLOCK
+    runs = [(-1.0, -0.5, 0.0, 9.0, 0.01, 1),
+            (0.7, 0.2, -1.3, 5.123, 0.013, 3),
+            (1.9, -1.1, 2.5, 2.5 + (steps - 0.5) * 0.01, 0.01, 7)]
+    assert math.ceil((runs[2][3] - 2.5) / 0.01 - 1e-12) == steps
+    for name, (code, par1, par2, cs, cs_dt, args) in drives.items():
+        A, B, beta, gamma, eps = (float(x) for x in rng.uniform((0.1, 0.1, 0.5, 0.3, 0.02),
+                                                                 (0.6, 0.6, 0.9, 0.8, 0.2)))
+        for v0, w0, t0, t_final, dt, stride in runs:
+            got = fast.rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
+                                      v0, w0, t0, t_final, dt, stride)
+            ref = oracles.reference_rk4(name, args, A, B, beta, gamma, eps,
+                                        v0, w0, t0, t_final, dt, stride)
+            assert _rk4_bits(got) == _rk4_bits(ref), (name, t0, t_final, stride)
+            assert got[0][got[3] - 1] == t_final
+    # a diverging start stops both at the same sample with ok = 0
+    for name, (code, par1, par2, cs, cs_dt, args) in drives.items():
+        got = fast.rk4_trajectory(code, par1, par2, cs, cs_dt, 0.3, 0.3, 0.8, 0.5, 0.1,
+                                  40.0, 0.0, 0.0, 20.0, 0.5, 1)
+        ref = oracles.reference_rk4(name, args, 0.3, 0.3, 0.8, 0.5, 0.1,
+                                    40.0, 0.0, 0.0, 20.0, 0.5, 1)
+        assert got[4] == 0
+        assert _rk4_bits(got) == _rk4_bits(ref), name
+
+
+def test_spike_scan_matches_alternating_searches():
+    rng = np.random.default_rng(89)
+    fire, arm = 0.0, -0.5
+    traces = [np.cumsum(rng.normal(0.0, 0.4, n)) % 3.0 - 2.0 for n in (0, 1, 50, 4000)]
+    # starts at the fire level; samples exactly at the fire and arm levels;
+    # a NaN sample while armed and while disarmed
+    traces.append(np.array([0.0, 0.5, -0.5, 0.0, -0.6, 0.0, 1.0, -0.7]))
+    traces.append(np.array([0.3, 0.1, -0.5, -0.5, -0.50001, math.nan, 0.0, math.nan,
+                            -1.0, 0.0]))
+    traces.append(rng.choice([fire, arm, -1.0, 1.0, math.nan], 500))
+    for v in traces:
+        idx = fast.spike_scan(v, fire, arm)
+        assert idx.dtype == np.int64
+        assert idx.tolist() == oracles.hysteresis_indices(v, fire, arm)
+    # a sample at the arm level does not re-arm: 3 is no spike
+    assert fast.spike_scan(traces[4], fire, arm).tolist() == [0, 5]
