@@ -8,14 +8,26 @@ in advance, so it takes the drive from tables built with numpy for blocks of
 1024 steps (the gain r at the three stage times of each step, and the raw
 drive's two carrier terms) and runs one inlined RK4 body over them; the
 samples are bit-identical to those of stage-wise _rhs calls, which only the
-adaptive dp45_trajectory still makes. cosine_ensemble_spikes steps many sweep
-cells at once on numpy arrays, on the same time rule, and gives
-cosine_cell_spikes' counts cell by cell. spike_scan makes one pass over the
-samples as Python floats.
+adaptive dp45_trajectory still makes, six per attempt (first same as last).
+
+cosine_ensemble_spikes steps many sweep cells at once on numpy arrays, on the
+same time rule. Its state is one (2, n) array (rows v and w), and a step
+writes into stage arrays and temporaries allocated once per call, so its cost
+at a few cells is the count of numpy calls: 54 a step for the RK4 stages and
+three for the spike count, against about 80 for a per-step update on fresh
+arrays. Spikes are not counted step by step: the states of a block of steps
+are stored, and the hysteresis and the finiteness flag are evaluated over the
+block afterwards, with the detector state and the flag carried from block to
+block. Every elementwise operation is the scalar kernel's, in its order, and
+the block count gives each step the detector state of a per-step update, so
+the counts equal cosine_cell_spikes' cell by cell. spike_scan makes one pass
+over the samples as Python floats.
 """
 import math
 
 import numpy as np
+
+from .errors import DomainError
 
 # no compiled backend; the sweep manifests record this under their "numba" key
 NUMBA_ENABLED = False
@@ -223,6 +235,11 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
                     v0, w0, t0, t_final, rel_tol, abs_tol, max_dt, stride):
     """Adaptive Dormand-Prince 5(4) over [t0, t_final], step capped at max_dt.
 
+    The right-hand side at the end of an accepted step, (t + h, v5, w5), is
+    the next step's first stage (first same as last), and a rejected step
+    keeps its first stage, so an attempt makes six _rhs calls; each stage is
+    evaluated at the arguments it would get anew.
+
     Returns (t, v, w, n_samples, ok, vmax_abs, wmax_abs); ok as in rk4_trajectory,
     or STEP_COLLAPSED when the step size fell below 1e-14.
     """
@@ -242,12 +259,12 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
     ok = 1
     h = max_dt
     accepted = 0
+    k1v, k1w = _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps, t, v, w)
     while t < t_final - 1e-12 * max(1.0, abs(t_final)):
         if h > max_dt:
             h = max_dt
         if h > t_final - t:
             h = t_final - t
-        k1v, k1w = _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps, t, v, w)
         k2v, k2w = _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
                         t + h / 5.0, v + h * (k1v / 5.0), w + h * (k1w / 5.0))
         k3v, k3w = _rhs(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
@@ -291,6 +308,8 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
             t = t + h
             v = v5
             w = w5
+            k1v = k7v
+            k1w = k7w
             if not (math.isfinite(v) and math.isfinite(w)):
                 ok = 0
                 break
@@ -345,9 +364,48 @@ def cosine_cell_spikes(A, B, beta, gamma, eps, eta, v0, w0, t_final, dt, fire, a
     return len(spike_scan(vs[:n], fire, arm)), ok, vmax, wmax
 
 
-# elements per envelope table of cosine_ensemble_spikes: a block of steps covers
-# at most this many (step, cell) pairs, so no array spans the whole horizon
+# a block of cosine_ensemble_spikes stores the states of about this many
+# (step, cell) pairs, and of at least _ENSEMBLE_MIN_STEPS steps, before it
+# counts their spikes: the block's gain tables and stored states stay small
+# at any horizon, and the count's per-block calls are spread over several
+# steps even at the paper sweep's 19 680 cells
 _ENSEMBLE_BLOCK = 16384
+_ENSEMBLE_MIN_STEPS = 8
+
+
+def _count_block(states, fire, arm, counts, armed, ok):
+    """Count the spikes of one block of stored ensemble states, in place.
+
+    states[j] is the (2, n) state (v; w) after step j of the block; counts,
+    armed and ok hold each cell's count, detector state and finiteness flag
+    before the block, and leave holding them after it. A step counts only
+    while the states of every step up to it are finite, as the scalar loop
+    breaks at its first non-finite state. The detector fires on v >= fire
+    when armed and re-arms on v < arm; with arm <= fire no state does both,
+    so a spike is a step that takes the detector from armed to disarmed.
+    The comparisons run over the whole block at once; the running
+    finiteness flag takes one numpy call per stored step, and the detector
+    state two.
+    """
+    m = len(states)
+    finite = np.isfinite(states)
+    alive = finite[:, 0] & finite[:, 1]
+    alive[0] &= ok
+    for j in range(1, m):
+        np.logical_and(alive[j], alive[j - 1], out=alive[j])
+    v = states[:, 0]
+    up = v >= fire
+    up &= alive
+    down = v < arm
+    s = np.empty((m + 1, len(armed)), dtype=bool)
+    s[0] = armed
+    for j in range(m):
+        # armed after step j: (armed before it or v < arm) and not v >= fire
+        np.logical_or(s[j], down[j], out=s[j + 1])
+        np.greater(s[j + 1], up[j], out=s[j + 1])
+    counts += np.count_nonzero(s[:-1] > s[1:], axis=0)
+    armed[:] = s[m]
+    ok[:] = alive[-1]
 
 
 def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt, fire):
@@ -355,50 +413,85 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
 
     The per-cell arguments A..arm broadcast to one shape; t_final, dt and fire
     are shared, so every cell takes the same steps, on rk4_trajectory's time
-    rule. The arithmetic keeps the scalar kernel's operation order, and a cell
-    stops counting at its first non-finite state, where the scalar loop
-    breaks, so the result equals cosine_cell_spikes cell by cell. Returns
-    (counts, ok), int64 and bool arrays of the broadcast shape.
+    rule. The state is one (2, n) array, rows v and w. The four stage arrays,
+    the stage state and the temporaries are allocated once per call, and
+    every step writes its ufunc results into them with out=; the right-hand
+    side is evaluated row by row in the scalar kernel's operation order, and
+    the stage sums and the final update run on both rows in one call each,
+    which rounds as the scalar kernel does row by row. The states of each
+    block of steps are stored and counted after the block by _count_block,
+    which carries the detector state and the ok flag into the next block, so
+    the counts are those of a per-step update. A cell stops counting at its
+    first non-finite state, where the scalar loop breaks, so the result
+    equals cosine_cell_spikes cell by cell. Every arm must lie at or below
+    fire. Returns (counts, ok), int64 and bool arrays of the broadcast shape.
     """
     cells = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
                                   for x in (A, B, beta, gamma, eps, eta, v0, w0, arm)))
     shape = cells[0].shape
     A, B, beta, gamma, eps, eta, v, w, arm = (c.ravel() for c in cells)
+    if np.any(arm > fire):
+        raise DomainError(f"arm levels must not exceed the fire level {fire}")
+    n = v.size
     rho = 1.0 - A * A / 2.0 - B * B / 2.0
     AB = A * B
     counts = (v >= fire).astype(np.int64)
     armed = counts == 0
-    ok = np.ones(v.size, dtype=bool)
-    nst = int(math.ceil(t_final / dt - 1e-12)) if v.size else 0
-    block = max(1, _ENSEMBLE_BLOCK // max(1, v.size))
+    ok = np.ones(n, dtype=bool)
+    nst = int(math.ceil(t_final / dt - 1e-12)) if n else 0
+    block = max(_ENSEMBLE_MIN_STEPS, _ENSEMBLE_BLOCK // max(1, n))
+    X = np.stack((v, w))
+    S = np.empty_like(X)
+    K1, K2, K3, K4 = np.empty((4, 2, n))
+    cube = np.empty(n)
+    stored = np.empty((min(block, nst), 2, n))
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+
+    def rhs(r, x, k):
+        # k = (r*v - v*v*v/3.0 - w, eps*(v - gamma*w + beta)) at the state x
+        (xv, xw), (kv, kw) = x, k
+        mul(xv, xv, out=cube)
+        mul(cube, xv, out=cube)
+        div(cube, 3.0, out=cube)
+        mul(r, xv, out=kv)
+        sub(kv, cube, out=kv)
+        sub(kv, xw, out=kv)
+        mul(gamma, xw, out=kw)
+        sub(xv, kw, out=kw)
+        add(kw, beta, out=kw)
+        mul(eps, kw, out=kw)
+
+    x_rows, s_rows = tuple(X), tuple(S)
+    k_rows = [tuple(k) for k in (K1, K2, K3, K4)]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nst, block):
             t = np.arange(start, min(start + block, nst)) * dt
             hs = np.minimum(dt, t_final - t)
             r_start, r_mid, r_end = (rho - AB * np.cos(eta * ts[:, None])
                                      for ts in (t, t + hs / 2.0, t + hs))
-            for i, h in enumerate(hs.tolist()):
-                r1, r2, r4 = r_start[i], r_mid[i], r_end[i]
-                k1v = r1 * v - v * v * v / 3.0 - w
-                k1w = eps * (v - gamma * w + beta)
-                av = v + h / 2.0 * k1v
-                aw = w + h / 2.0 * k1w
-                k2v = r2 * av - av * av * av / 3.0 - aw
-                k2w = eps * (av - gamma * aw + beta)
-                av = v + h / 2.0 * k2v
-                aw = w + h / 2.0 * k2w
-                k3v = r2 * av - av * av * av / 3.0 - aw
-                k3w = eps * (av - gamma * aw + beta)
-                av = v + h * k3v
-                aw = w + h * k3w
-                k4v = r4 * av - av * av * av / 3.0 - aw
-                k4w = eps * (av - gamma * aw + beta)
-                v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-                w = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                ok &= np.isfinite(v) & np.isfinite(w)
-                fired = armed & ok & (v >= fire)
-                counts += fired
-                armed = np.where(armed, ~fired, v < arm)
+            states = stored[:len(t)]
+            for h, r1, r2, r4, state in zip(hs.tolist(), r_start, r_mid, r_end, states):
+                hh = h / 2.0
+                rhs(r1, x_rows, k_rows[0])
+                mul(K1, hh, out=S)
+                add(X, S, out=S)
+                rhs(r2, s_rows, k_rows[1])
+                mul(K2, hh, out=S)
+                add(X, S, out=S)
+                rhs(r2, s_rows, k_rows[2])
+                mul(K3, h, out=S)
+                add(X, S, out=S)
+                rhs(r4, s_rows, k_rows[3])
+                # X + h/6*(((K1 + 2*K2) + 2*K3) + K4), as the scalar kernel sums
+                mul(K2, 2.0, out=K2)
+                add(K1, K2, out=K1)
+                mul(K3, 2.0, out=K3)
+                add(K1, K3, out=K1)
+                add(K1, K4, out=K1)
+                mul(K1, h / 6.0, out=K1)
+                add(X, K1, out=X)
+                state[...] = X
+            _count_block(states, fire, arm, counts, armed, ok)
     return counts.reshape(shape), ok.reshape(shape)
 
 

@@ -9,9 +9,12 @@ the observed counts against the arc-based prediction.
 
 The cells of one call are integrated together in lockstep as one numpy
 ensemble (``_kernels.cosine_ensemble_spikes``), on the time rule of the
-fixed-step simulator (``_kernels.rk4_trajectory``). Its counts equal the
-scalar cell kernel's, which runs on that simulator, cell by cell, and reruns
-are bit-identical.
+fixed-step simulator (``_kernels.rk4_trajectory``). The ensemble holds every
+cell's (v, w) in one (2, n) array, steps it in buffers allocated once, and
+counts spikes once per block of stored steps; its per-step cost at the few
+cells of an initial-condition grid is set by its numpy calls, not by the
+cells. Its counts equal the scalar cell kernel's, which runs on that
+simulator, cell by cell, and reruns are bit-identical.
 """
 from __future__ import annotations
 

@@ -137,7 +137,6 @@ def _band(p: Params, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, np.array([_v_e(p, x) for x in r.tolist()])
 
 
-@functools.lru_cache(maxsize=64)
 def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
     """Evaluate the parameter-region flags; the grid verifies the fold gap.
 
@@ -147,10 +146,16 @@ def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
     slope), so a sign change between grid points cannot hide. The CLI's
     --c-grid-size sets this resolution (and the rows of its --table).
 
-    Results are memoised on the (frozen, hashable) Params, so the several
-    region checks of one verdict chain compute the grid test once; the
-    unmemoised function is classify_region.__wrapped__.
+    Results are memoised on the (frozen, hashable) Params and the grid size,
+    one entry however the two are passed, so the several region checks of one
+    verdict chain compute the grid test once; the unmemoised function is
+    classify_region.__wrapped__, with cache_info and cache_clear beside it.
     """
+    return _classify_region_memo(p, c_grid_size)
+
+
+def _classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
+    # classify_region's computation, unmemoised
     if c_grid_size < 3:
         raise DomainError(f"c_grid_size must be at least 3, got {c_grid_size}")
     unique = _unique_everywhere(p)
@@ -168,6 +173,14 @@ def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
     return RegionClass(unique=unique, les_sufficient=les_sufficient,
                        equilibria_left_of_folds=left_of_folds,
                        ges_small_eps=left_of_folds)
+
+
+# lru_cache keys f(p), f(p, 1001) and f(p, c_grid_size=1001) apart, so
+# classify_region passes both arguments by position to one cache
+_classify_region_memo = functools.lru_cache(maxsize=64)(_classify_region)
+classify_region.__wrapped__ = _classify_region
+classify_region.cache_info = _classify_region_memo.cache_info
+classify_region.cache_clear = _classify_region_memo.cache_clear
 
 
 def no_spiking_condition(p: Params, c_grid_size: int = 1001) -> bool:

@@ -164,16 +164,13 @@ def hysteresis_indices(v, fire, arm):
         start = spike + 1 + int(rearm[0])
 
 
-def reference_rk4(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final, dt, stride):
-    """Fixed-step RK4 with the right-hand side evaluated anew at every stage.
+def _reference_rhs(kind, args, A, B, beta, gamma, eps):
+    """The right-hand side f(t, v, w) -> (dv, dw) under one drive.
 
     kind is "frozen" (args (c,)), "cosine" (eta,), "raw" (omega1, omega2) or
     "custom" (values, spacing; linear interpolation, clamped outside the
-    samples). Step i starts at t0 + i*dt and lasts min(dt, t_final - t), with
-    stages at t, t + h/2 and t + h; a sample is kept every stride steps and
-    at the end. Arithmetic follows the kernel's order, so results can match
-    bit for bit. Returns (t, v, w, n, ok, vmax, wmax), the arrays of length n;
-    ok = 0 when the state went non-finite, with the samples ending before it.
+    samples). Arithmetic follows the kernel's order, so results can match
+    bit for bit.
     """
     rho = 1.0 - A * A / 2.0 - B * B / 2.0
 
@@ -201,6 +198,20 @@ def reference_rk4(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final, dt, s
             dv = (rho - A * B * envelope(t)) * v - cubic - w
         return dv, eps * (v - gamma * w + beta)
 
+    return rhs
+
+
+def reference_rk4(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final, dt, stride):
+    """Fixed-step RK4 with the right-hand side evaluated anew at every stage.
+
+    kind and args name the drive as in _reference_rhs. Step i starts at
+    t0 + i*dt and lasts min(dt, t_final - t), with stages at t, t + h/2 and
+    t + h; a sample is kept every stride steps and at the end. Arithmetic
+    follows the kernel's order, so results can match bit for bit. Returns
+    (t, v, w, n, ok, vmax, wmax), the arrays of length n; ok = 0 when the
+    state went non-finite, with the samples ending before it.
+    """
+    rhs = _reference_rhs(kind, args, A, B, beta, gamma, eps)
     steps = math.ceil((t_final - t0) / dt - 1e-12) if t_final > t0 else 0
     t, v, w = t0, v0, w0
     ts, vs, ws = [t], [v], [w]
@@ -223,4 +234,78 @@ def reference_rk4(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final, dt, s
             ts.append(t)
             vs.append(v)
             ws.append(w)
+    return np.array(ts), np.array(vs), np.array(ws), len(ts), ok, vmax, wmax
+
+
+def reference_dp45(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final,
+                   rel_tol, abs_tol, max_dt, stride):
+    """Adaptive Dormand-Prince 5(4) with all seven stages evaluated every attempt.
+
+    kind and args name the drive as in _reference_rhs. The step is capped at
+    max_dt and clipped to land on t_final; the error norm, the step factor
+    (0.9*err**-0.2 within [0.2, 5]) and the sampling of every stride-th
+    accepted step and of the last follow the kernel's arithmetic, so the two
+    can match bit for bit. Returns (t, v, w, n, ok, vmax, wmax) with the
+    arrays of length n; ok = 0 when the state went non-finite, 2 when the
+    step fell below 1e-14.
+    """
+    rhs = _reference_rhs(kind, args, A, B, beta, gamma, eps)
+    t, v, w = t0, v0, w0
+    ts, vs, ws = [t], [v], [w]
+    vmax, wmax = abs(v), abs(w)
+    ok = 1
+    h = max_dt
+    accepted = 0
+    end = t_final - 1e-12 * max(1.0, abs(t_final))
+    while t < end:
+        h = min(h, max_dt, t_final - t)
+        k1 = rhs(t, v, w)
+        k2 = rhs(t + h / 5.0, v + h * (k1[0] / 5.0), w + h * (k1[1] / 5.0))
+        k3 = rhs(t + 3.0 * h / 10.0, *(
+            x + h * (3.0 / 40.0 * a + 9.0 / 40.0 * b)
+            for x, a, b in zip((v, w), k1, k2)))
+        k4 = rhs(t + 4.0 * h / 5.0, *(
+            x + h * (44.0 / 45.0 * a - 56.0 / 15.0 * b + 32.0 / 9.0 * c)
+            for x, a, b, c in zip((v, w), k1, k2, k3)))
+        k5 = rhs(t + 8.0 * h / 9.0, *(
+            x + h * (19372.0 / 6561.0 * a - 25360.0 / 2187.0 * b
+                     + 64448.0 / 6561.0 * c - 212.0 / 729.0 * d)
+            for x, a, b, c, d in zip((v, w), k1, k2, k3, k4)))
+        k6 = rhs(t + h, *(
+            x + h * (9017.0 / 3168.0 * a - 355.0 / 33.0 * b + 46732.0 / 5247.0 * c
+                     + 49.0 / 176.0 * d - 5103.0 / 18656.0 * e)
+            for x, a, b, c, d, e in zip((v, w), k1, k2, k3, k4, k5)))
+        v5, w5 = (x + h * (35.0 / 384.0 * a + 500.0 / 1113.0 * c + 125.0 / 192.0 * d
+                           - 2187.0 / 6784.0 * e + 11.0 / 84.0 * f)
+                  for x, a, c, d, e, f in zip((v, w), k1, k3, k4, k5, k6))
+        k7 = rhs(t + h, v5, w5)
+        errv, errw = (h * (71.0 / 57600.0 * a - 71.0 / 16695.0 * c + 71.0 / 1920.0 * d
+                           - 17253.0 / 339200.0 * e + 22.0 / 525.0 * f - 1.0 / 40.0 * g)
+                      for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7))
+        scv = abs_tol + rel_tol * max(abs(v), abs(v5))
+        scw = abs_tol + rel_tol * max(abs(w), abs(w5))
+        try:
+            errn = math.sqrt(((errv / scv) ** 2 + (errw / scw) ** 2) / 2.0)
+        except OverflowError:
+            errn = math.inf
+        if errn <= 1.0:
+            t, v, w = t + h, v5, w5
+            if not (math.isfinite(v) and math.isfinite(w)):
+                ok = 0
+                break
+            vmax, wmax = max(vmax, abs(v)), max(wmax, abs(w))
+            accepted += 1
+            if accepted % stride == 0 or t >= end:
+                ts.append(t)
+                vs.append(v)
+                ws.append(w)
+        if errn == 0.0:
+            fac = 5.0
+        else:
+            fac = 0.9 * errn ** -0.2
+            fac = 0.2 if not fac >= 0.2 else min(fac, 5.0)
+        h = h * fac
+        if h < 1e-14:
+            ok = 2
+            break
     return np.array(ts), np.array(vs), np.array(ws), len(ts), ok, vmax, wmax

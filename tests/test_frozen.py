@@ -193,6 +193,20 @@ def test_classify_region_is_memoised_on_params():
         assert ft.classify_region(p) == ft.classify_region.__wrapped__(p)
 
 
+def test_classify_region_is_one_cache_entry_however_called():
+    # the grid size by default, by position and by keyword, and the region
+    # checks of the other layers, all reach the entry of the first call
+    p = std(A=0.29, B=0.31)
+    ft.classify_region.cache_clear()
+    ft.classify_region(p)
+    ft.no_spiking_condition(p)
+    ft.classify_region(p, c_grid_size=1001)
+    ft.kappa_threshold(p)
+    info = ft.classify_region.cache_info()
+    assert info.misses == 1
+    assert info.hits >= 3
+
+
 def test_frozen_table_values_and_nan_folds():
     p = std()
     tab = ft.frozen_table(p, c_grid_size=101)

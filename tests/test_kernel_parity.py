@@ -2,7 +2,8 @@
 root against bisection, the numpy ensemble cell counter against the scalar
 one, the warm-started cubic root of the arc transport against the
 closed-form one, the table-driven RK4 stepper against a stage-wise
-reference, and the spike scan against alternating searches."""
+reference, the DP45 stepper against a seven-stage one, and the spike scan
+against alternating searches."""
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fhn_tis._kernels as fast
+from fhn_tis.errors import DomainError
 
 import oracles
 
@@ -87,6 +89,50 @@ def test_ensemble_matches_scalar_cell_kernel():
     assert {1, 2} <= diverged
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_ensemble_counts_across_block_boundaries(monkeypatch, block):
+    # the ensemble counts each block of stored steps at once, carrying the
+    # detector state and the ok flag from block to block; with blocks of 1
+    # and 7 steps, the cells below put their events on block boundaries
+    monkeypatch.setattr(fast, "_ENSEMBLE_BLOCK", 1)
+    monkeypatch.setattr(fast, "_ENSEMBLE_MIN_STEPS", block)
+    A, B, beta, gamma, eps, eta = 0.3, 0.3, 0.8, 0.5, 0.1, 0.2
+    # from (-2, -1) at dt = 0.25, v peaks first at sample 21, the state after
+    # step 20, the last of a 7-step block: with the fire and arm levels at
+    # that peak, the cell fires there and re-arms on the next block's first
+    # step
+    v = fast.rk4_trajectory(fast.DRIVE_COSINE, eta, 0.0, (), 1.0, A, B, beta, gamma, eps,
+                            -2.0, -1.0, 0.0, 6.0, 0.25, 1)[1]
+    peak = float(v[21])
+    assert v[:21].max() < peak and v[22] < peak
+    # (fire, dt, [(v0, w0, arm)]): the start (-1, -10) at dt = 0.5 fires on
+    # its first step and goes non-finite on its fourth, inside a 7-step block;
+    # (-3, 1e18) is armed when v overflows to +inf on its first step; the
+    # second start of each case lies above the fire level
+    cases = [(peak, 0.25, [(-2.0, -1.0, peak), (2.5, 0.0, 1.0), (-3.0, 1e18, 1.0)]),
+             (0.0, 0.5, [(-1.0, -10.0, -0.5), (0.5, 0.0, -0.5), (-3.0, 1e18, -0.5)])]
+    rng = np.random.default_rng(103)
+    for fire, dt, special in cases:
+        starts = np.vstack((special, rng.uniform((-2.0, -1.5, fire - 1.0),
+                                                 (2.0, 1.5, fire), (12, 3))))
+        v0, w0, arm = starts.T
+        counts, ok = fast.cosine_ensemble_spikes(A, B, beta, gamma, eps, eta,
+                                                 v0, w0, arm, 30.0, dt, fire)
+        ref = [fast.cosine_cell_spikes(A, B, beta, gamma, eps, eta, float(v0[i]),
+                                       float(w0[i]), 30.0, dt, fire, float(arm[i]))
+               for i in range(len(starts))]
+        assert counts.tolist() == [c for c, _, _, _ in ref]
+        assert ok.tolist() == [bool(k) for _, k, _, _ in ref]
+        assert counts[1] >= 1 and counts[2] == 0 and not ok[2]
+    # the start (-1, -10) keeps the spike it fired before going non-finite
+    assert counts[0] == 1 and not ok[0]
+
+
+def test_ensemble_rejects_arm_above_fire():
+    with pytest.raises(DomainError, match="arm"):
+        fast.cosine_ensemble_spikes(0.3, 0.3, 0.8, 0.5, 0.1, 0.2, 0.0, 0.0,
+                                    [-0.5, 0.1], 1.0, 0.01, 0.0)
+
 
 def _rk4_bits(out):
     t, v, w, n, ok, vmax, wmax = out
@@ -131,6 +177,51 @@ def test_rk4_trajectory_matches_stagewise_reference():
                                     40.0, 0.0, 0.0, 20.0, 0.5, 1)
         assert got[4] == 0
         assert _rk4_bits(got) == _rk4_bits(ref), name
+
+
+def test_dp45_trajectory_matches_seven_stage_reference(monkeypatch):
+    # reusing the last stage of an accepted step as the next first stage must
+    # leave every sample as a loop that evaluates all seven stages gives it
+    rng = np.random.default_rng(101)
+    values = rng.uniform(-1.0, 1.0, 9).tolist()
+    drives = {"frozen": (fast.DRIVE_FROZEN, 0.4, 0.0, (), 1.0, (0.4,)),
+              "cosine": (fast.DRIVE_COSINE, 0.07, 0.0, (), 1.0, (0.07,)),
+              "raw": (fast.DRIVE_RAW, 6.0, 6.07, (), 1.0, (6.0, 6.07)),
+              "custom": (fast.DRIVE_CUSTOM, 0.0, 0.0, values, 0.5, (values, 0.5))}
+    # (v0, w0, t0, t_final, rel_tol, abs_tol, max_dt, stride); the last start
+    # overflows every trial step's error norm until the step collapses
+    runs = [(-1.0, -0.5, 0.0, 9.0, 1e-6, 1e-9, 0.5, 1),
+            (0.7, 0.2, -1.3, 5.123, 1e-8, 1e-10, 0.2, 3),
+            (1e150, 0.0, 0.0, 10.0, 1e-6, 1e-9, 0.5, 1)]
+    for name, (code, par1, par2, cs, cs_dt, args) in drives.items():
+        A, B, beta, gamma, eps = (float(x) for x in rng.uniform((0.1, 0.1, 0.5, 0.3, 0.02),
+                                                                 (0.6, 0.6, 0.9, 0.8, 0.2)))
+        for run in runs:
+            got = fast.dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
+                                       *run)
+            ref = oracles.reference_dp45(name, args, A, B, beta, gamma, eps, *run)
+            assert _rk4_bits(got) == _rk4_bits(ref), (name, run)
+        assert got[4] == fast.STEP_COLLAPSED
+    # a raw-drive run that rejects steps, sampled at every accepted step
+    times = []
+    rhs = fast._rhs
+
+    def counted(*a):
+        times.append(a[-3])
+        return rhs(*a)
+
+    monkeypatch.setattr(fast, "_rhs", counted)
+    run = (0.7, 0.2, 0.0, 10.0, 1e-6, 1e-9, 0.5, 1)
+    got = fast.dp45_trajectory(fast.DRIVE_RAW, 6.0, 6.07, (), 1.0, 0.3, 0.4, 0.8, 0.5, 0.1,
+                               *run)
+    ref = oracles.reference_dp45("raw", (6.0, 6.07), 0.3, 0.4, 0.8, 0.5, 0.1, *run)
+    assert _rk4_bits(got) == _rk4_bits(ref)
+    # the sixth and seventh stages of an attempt share the time t + h, and no
+    # other two calls in a row do: one right-hand side before the first
+    # attempt, then six per attempt, more attempts than accepted steps
+    attempts = sum(a == b for a, b in zip(times, times[1:]))
+    assert len(times) == 1 + 6 * attempts
+    assert got[4] == 1 and attempts > got[3] - 1
 
 
 def test_spike_scan_matches_alternating_searches():
