@@ -22,6 +22,10 @@ block. Every elementwise operation is the scalar kernel's, in its order, and
 the block count gives each step the detector state of a per-step update, so
 the counts equal cosine_cell_spikes' cell by cell. spike_scan makes one pass
 over the samples as Python floats.
+
+rk4_trajectory, dp45_trajectory and transport_arc append their samples to
+Python lists and return them as float64 arrays of exactly the samples taken;
+an arc's terminal point is its last sample.
 """
 import math
 
@@ -48,6 +52,11 @@ TERM_TOP = 2
 TERM_ORIGIN = 3
 
 _ORIGIN_TOL = 1e-9
+
+
+def _arrays(*samples):
+    """The sample lists as a tuple of float64 arrays, each of its list's length."""
+    return tuple(np.array(x, dtype=np.float64) for x in samples)
 
 
 def leftmost_cubic_root(p, q):
@@ -169,23 +178,17 @@ def rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
     step (tests/test_kernel_parity.py checks this against such a loop). The
     end stage is at t_i + h_i, which can differ from t_{i+1} in the last bit.
 
-    Returns (t, v, w, n_samples, ok, vmax_abs, wmax_abs). ok = 0 means the state
-    went non-finite; the recorded samples end at the last finite state.
+    Returns (t, v, w, n_samples, ok): float64 arrays of the n_samples samples,
+    the start and every stride-th step and the last. ok = 0 means the state
+    went non-finite; the samples then end at the last finite state.
     """
     span = t_final - t0
     nst = int(math.ceil(span / dt - 1e-12)) if span > 0.0 else 0
-    cap = nst // stride + 3
-    ts = np.empty(cap)
-    vs = np.empty(cap)
-    ws = np.empty(cap)
     v = v0
     w = w0
-    ts[0] = t0
-    vs[0] = v
-    ws[0] = w
-    n = 1
-    vmax = abs(v)
-    wmax = abs(w)
+    ts = [t0]
+    vs = [v]
+    ws = [w]
     ok = 1
     isfinite = math.isfinite
     for start in range(0, nst, _RK4_BLOCK):
@@ -217,18 +220,13 @@ def rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
             if not (isfinite(v) and isfinite(w)):
                 ok = 0
                 break
-            if abs(v) > vmax:
-                vmax = abs(v)
-            if abs(w) > wmax:
-                wmax = abs(w)
             if i % stride == 0 or i == nst:
-                ts[n] = t0 + i * dt if i < nst else t_final
-                vs[n] = v
-                ws[n] = w
-                n += 1
+                ts.append(t0 + i * dt if i < nst else t_final)
+                vs.append(v)
+                ws.append(w)
         if not ok:
             break
-    return ts, vs, ws, n, ok, vmax, wmax
+    return _arrays(ts, vs, ws) + (len(ts), ok)
 
 
 def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
@@ -240,22 +238,16 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
     keeps its first stage, so an attempt makes six _rhs calls; each stage is
     evaluated at the arguments it would get anew.
 
-    Returns (t, v, w, n_samples, ok, vmax_abs, wmax_abs); ok as in rk4_trajectory,
-    or STEP_COLLAPSED when the step size fell below 1e-14.
+    Returns (t, v, w, n_samples, ok) as rk4_trajectory does, sampling every
+    stride-th accepted step and the last; ok is STEP_COLLAPSED when the step
+    size fell below 1e-14.
     """
-    cap = 4096
-    ts = np.empty(cap)
-    vs = np.empty(cap)
-    ws = np.empty(cap)
     t = t0
     v = v0
     w = w0
-    ts[0] = t
-    vs[0] = v
-    ws[0] = w
-    n = 1
-    vmax = abs(v)
-    wmax = abs(w)
+    ts = [t]
+    vs = [v]
+    ws = [w]
     ok = 1
     h = max_dt
     accepted = 0
@@ -313,28 +305,11 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
             if not (math.isfinite(v) and math.isfinite(w)):
                 ok = 0
                 break
-            if abs(v) > vmax:
-                vmax = abs(v)
-            if abs(w) > wmax:
-                wmax = abs(w)
             accepted += 1
             if accepted % stride == 0 or t >= t_final - 1e-12 * max(1.0, abs(t_final)):
-                if n >= cap:
-                    cap2 = cap * 2
-                    ts2 = np.empty(cap2)
-                    vs2 = np.empty(cap2)
-                    ws2 = np.empty(cap2)
-                    ts2[:n] = ts[:n]
-                    vs2[:n] = vs[:n]
-                    ws2[:n] = ws[:n]
-                    ts = ts2
-                    vs = vs2
-                    ws = ws2
-                    cap = cap2
-                ts[n] = t
-                vs[n] = v
-                ws[n] = w
-                n += 1
+                ts.append(t)
+                vs.append(v)
+                ws.append(w)
         if errn == 0.0:
             fac = 5.0
         else:
@@ -348,7 +323,7 @@ def dp45_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
         if h < 1e-14:
             ok = STEP_COLLAPSED
             break
-    return ts, vs, ws, n, ok, vmax, wmax
+    return _arrays(ts, vs, ws) + (len(ts), ok)
 
 
 def cosine_cell_spikes(A, B, beta, gamma, eps, eta, v0, w0, t_final, dt, fire, arm):
@@ -356,12 +331,11 @@ def cosine_cell_spikes(A, B, beta, gamma, eps, eta, v0, w0, t_final, dt, fire, a
 
     rk4_trajectory under the cosine envelope of beat eta from t = 0, every step
     kept, then spike_scan over the samples: the detector starts armed, fires
-    on v >= fire and re-arms once v < arm. Returns (count, ok, vmax_abs, wmax_abs).
+    on v >= fire and re-arms once v < arm. Returns (count, ok).
     """
-    _, vs, _, n, ok, vmax, wmax = rk4_trajectory(DRIVE_COSINE, eta, 0.0, (), 1.0,
-                                                 A, B, beta, gamma, eps,
-                                                 v0, w0, 0.0, t_final, dt, 1)
-    return len(spike_scan(vs[:n], fire, arm)), ok, vmax, wmax
+    _, vs, _, _, ok = rk4_trajectory(DRIVE_COSINE, eta, 0.0, (), 1.0, A, B, beta, gamma, eps,
+                                     v0, w0, 0.0, t_final, dt, 1)
+    return len(spike_scan(vs, fire, arm)), ok
 
 
 # a block of cosine_ensemble_spikes stores the states of about this many
@@ -626,24 +600,19 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
     on the grid stay together; it is reused as the next step's first stage
     and as the stored sample's v.
 
-    Returns (s, v, w, c, n, term_code, term_s, term_c, term_v, term_w).
+    Returns (s, v, w, c, term_code): float64 arrays of the samples (the
+    start, every stride-th grid point, each leg boundary, where the envelope
+    value is exactly +1 or -1, and the terminal point, which is the last
+    sample), then the TERM_* code.
     """
     rho = 1.0 - A * A / 2.0 - B * B / 2.0
     AB = A * B
-    cap = int(horizon / ds) + int(horizon * kappa / math.pi) + 32
-    ss = np.empty(cap)
-    vs = np.empty(cap)
-    ws = np.empty(cap)
-    cc = np.empty(cap)
     s = 0.0
     w = w0
     rc = rho - AB * math.cos(phi0)
     v = leftmost_cubic_root(-3.0 * rc, 3.0 * w)
-    ss[0] = 0.0
-    vs[0] = v
-    ws[0] = w
-    cc[0] = math.cos(phi0)
-    n = 1
+    # one (s, v, w, c) tuple per sample
+    samples = [(0.0, v, w, math.cos(phi0))]
     nsteps = 0
     while s < horizon - 1e-13:
         theta = phi0 + kappa * s
@@ -675,14 +644,8 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
                     if hi - lo < 1e-15:
                         break
                 s_ev = s + lo
-                c_ev = math.cos(phi0 + kappa * s_ev)
-                code = TERM_ORIGIN if st == -1 else TERM_FOLD
-                ss[n] = s_ev
-                vs[n] = v_ev
-                ws[n] = w_ev
-                cc[n] = c_ev
-                n += 1
-                return ss, vs, ws, cc, n, code, s_ev, c_ev, v_ev, w_ev
+                samples.append((s_ev, v_ev, w_ev, math.cos(phi0 + kappa * s_ev)))
+                return _arrays(*zip(*samples)) + (TERM_ORIGIN if st == -1 else TERM_FOLD,)
             s_step = s + h
             s = s_end if s_end - s_step < 1e-13 else s_step
             w = w_try
@@ -694,11 +657,7 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
                 v = leftmost_cubic_root(-3.0 * rc, 3.0 * w)
             nsteps += 1
             if nsteps % stride == 0:
-                ss[n] = s
-                vs[n] = v
-                ws[n] = w
-                cc[n] = math.cos(phi0 + kappa * s)
-                n += 1
+                samples.append((s, v, w, math.cos(phi0 + kappa * s)))
         if s != s_end:
             s = s_end
             rc = rho - AB * math.cos(phi0 + kappa * s)
@@ -707,20 +666,10 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
             break
         # landed on a leg boundary: envelope value is exactly +/-1 by parity
         c_b = 1.0 if k % 2 == 0 else -1.0
-        vb = leftmost_cubic_root(-3.0 * (rho - AB * c_b), 3.0 * w)
-        ss[n] = s
-        vs[n] = vb
-        ws[n] = w
-        cc[n] = c_b
-        n += 1
+        samples.append((s, leftmost_cubic_root(-3.0 * (rho - AB * c_b), 3.0 * w), w, c_b))
         if c_b == 1.0:
-            return ss, vs, ws, cc, n, TERM_TOP, s, c_b, vb, w
+            return _arrays(*zip(*samples)) + (TERM_TOP,)
         if abs(s - horizon) < 1e-13:
-            return ss, vs, ws, cc, n, TERM_HORIZON, s, c_b, vb, w
-    cch = math.cos(phi0 + kappa * s)
-    ss[n] = s
-    vs[n] = v
-    ws[n] = w
-    cc[n] = cch
-    n += 1
-    return ss, vs, ws, cc, n, TERM_HORIZON, s, cch, v, w
+            return _arrays(*zip(*samples)) + (TERM_HORIZON,)
+    samples.append((s, v, w, math.cos(phi0 + kappa * s)))
+    return _arrays(*zip(*samples)) + (TERM_HORIZON,)

@@ -33,7 +33,7 @@ from ._version import __version__
 from .errors import DomainError, RegionPreconditionError
 from .frozen import classify_region, equilibrium
 from .model import Params, State
-from .sim import DEFAULT_CONFIG, FixedRK4, IntegratorConfig
+from .sim import DEFAULT_CONFIG, FixedRK4, IntegratorConfig, default_arm_level
 from .singular import escape_cycle_check, kappa_threshold, predicts_no_tonic
 
 
@@ -184,7 +184,7 @@ def run_experiment1(spec: SweepSpec) -> list:
             v0, w0 = spec.ic_policy.state
         else:
             v0, w0 = 0.0, equilibrium(p_geom, 1.0).w_e
-        arm = equilibrium(p_geom, -1.0).v_e / 2.0
+        arm = default_arm_level(p_geom)
         panels.append((A, B, v0, w0, arm, kstar, region_ok,
                        time.perf_counter() - t_start))
     t_start = time.perf_counter()
@@ -231,7 +231,7 @@ def run_experiment2(settings_list) -> list:
         t_start = time.perf_counter()
         p = Params(A=gs.A, B=gs.B, beta=gs.beta, gamma=gs.gamma, epsilon=gs.epsilon)
         prediction = evaluate_prediction(p, gs.kappa)
-        arm = equilibrium(p, -1.0).v_e / 2.0
+        arm = default_arm_level(p)
         axis = np.linspace(-gs.extent, gs.extent, gs.grid_points)
         setups.append((prediction, arm, axis, time.perf_counter() - t_start))
         groups.setdefault((gs.t_final, gs.integrator.method.dt), []).append(k)

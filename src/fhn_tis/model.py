@@ -225,12 +225,12 @@ def effective_amplitude_conventions(A: float, B: float) -> dict:
 
 _PARAM_KEYS = ("A", "B", "beta", "gamma", "epsilon")
 
-_DRIVE_SCHEMAS = {
-    "averaged_cosine": ("eta",),
-    "sign_cosine": ("eta",),
-    "frozen_constant": ("c",),
-    "raw_interference": ("omega1", "omega2"),
-    "custom_sampled": ("values", "dt"),
+_DRIVE_KINDS = {
+    "averaged_cosine": AveragedCosine,
+    "sign_cosine": SignCosine,
+    "frozen_constant": FrozenConstant,
+    "raw_interference": RawInterference,
+    "custom_sampled": CustomSampled,
 }
 
 
@@ -250,23 +250,16 @@ def drive_from_dict(d: dict) -> Drive:
     if "kind" not in d:
         raise ConfigError("missing drive key: 'kind'", key="kind")
     kind = d["kind"]
-    if kind not in _DRIVE_SCHEMAS:
+    if kind not in _DRIVE_KINDS:
         raise ConfigError(
-            f"unknown drive kind {kind!r}; expected one of {sorted(_DRIVE_SCHEMAS)}",
+            f"unknown drive kind {kind!r}; expected one of {sorted(_DRIVE_KINDS)}",
             key="kind")
-    fields = _DRIVE_SCHEMAS[kind]
+    cls = _DRIVE_KINDS[kind]
+    fields = [f.name for f in dataclasses.fields(cls)]
     for k in d:
         if k != "kind" and k not in fields:
             raise ConfigError(f"unknown drive key for {kind}: {k!r}", key=k)
     for k in fields:
         if k not in d:
             raise ConfigError(f"missing drive key for {kind}: {k!r}", key=k)
-    kwargs = {k: d[k] for k in fields}
-    cls = {
-        "averaged_cosine": AveragedCosine,
-        "sign_cosine": SignCosine,
-        "frozen_constant": FrozenConstant,
-        "raw_interference": RawInterference,
-        "custom_sampled": CustomSampled,
-    }[kind]
-    return cls(**kwargs)
+    return cls(**{k: d[k] for k in fields})

@@ -79,45 +79,48 @@ class SpikeReport:
 
 def _drive_code(drive: Drive):
     if isinstance(drive, FrozenConstant):
-        return _kernels.DRIVE_FROZEN, drive.c, 0.0, np.empty(0), 1.0
+        return _kernels.DRIVE_FROZEN, drive.c, 0.0, (), 1.0
     if isinstance(drive, AveragedCosine):
-        return _kernels.DRIVE_COSINE, drive.eta, 0.0, np.empty(0), 1.0
+        return _kernels.DRIVE_COSINE, drive.eta, 0.0, (), 1.0
     if isinstance(drive, RawInterference):
-        return _kernels.DRIVE_RAW, drive.omega1, drive.omega2, np.empty(0), 1.0
+        return _kernels.DRIVE_RAW, drive.omega1, drive.omega2, (), 1.0
     if isinstance(drive, CustomSampled):
         # a list, so the kernels' arithmetic stays on Python floats
         return _kernels.DRIVE_CUSTOM, 0.0, 0.0, drive.values.tolist(), drive.dt
     raise DomainError(f"unsupported drive type {type(drive).__name__}")
 
 
-def _run_leg(p: Params, code, par1, par2, cs, cs_dt, v0, w0, t0, t1, cfg):
+def _legs(drive: Drive, t0: float, t_final: float):
+    """(drive code, leg start, leg end) for each leg of a run.
+
+    One leg, except for a square wave: each constant-sign segment is its own
+    leg under a frozen drive, so a step never straddles a switch and the
+    integrator keeps its order.
+    """
+    if not isinstance(drive, SignCosine):
+        return [(_drive_code(drive), t0, t_final)]
+    edges = np.concatenate(([t0], drive.switch_times(t0, t_final), [t_final]))
+    legs = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a <= 1e-14:
+            continue
+        c_seg = 1.0 if math.cos(drive.eta * (0.5 * (a + b))) >= 0.0 else -1.0
+        legs.append(((_kernels.DRIVE_FROZEN, c_seg, 0.0, (), 1.0), a, b))
+    return legs
+
+
+def _run_leg(p: Params, drive_code, v0, w0, t0, t1, cfg):
+    code, _, omega2, _, _ = drive_code
+    # the raw drive resolves its faster carrier with at least
+    # _RAW_STEPS_PER_PERIOD steps a period
+    cap = (2.0 * math.pi / omega2) / _RAW_STEPS_PER_PERIOD if code == _kernels.DRIVE_RAW \
+        else math.inf
+    args = (*drive_code, p.A, p.B, p.beta, p.gamma, p.epsilon, v0, w0, t0, t1)
     m = cfg.method
     if isinstance(m, FixedRK4):
-        dt = m.dt
-        if code == _kernels.DRIVE_RAW:
-            dt = min(dt, (2.0 * math.pi / par2) / _RAW_STEPS_PER_PERIOD)
-        return _kernels.rk4_trajectory(code, par1, par2, cs, cs_dt,
-                                       p.A, p.B, p.beta, p.gamma, p.epsilon,
-                                       v0, w0, t0, t1, dt, cfg.sample_stride)
-    max_dt = m.max_dt
-    if code == _kernels.DRIVE_RAW:
-        max_dt = min(max_dt, (2.0 * math.pi / par2) / _RAW_STEPS_PER_PERIOD)
-    return _kernels.dp45_trajectory(code, par1, par2, cs, cs_dt,
-                                    p.A, p.B, p.beta, p.gamma, p.epsilon,
-                                    v0, w0, t0, t1, m.rel_tol, m.abs_tol,
-                                    max_dt, cfg.sample_stride)
-
-
-def _check_leg(ok, ts, vs, ws, n) -> None:
-    # raise at the last recorded sample when a stepper gave up
-    if ok == 1:
-        return
-    if ok == _kernels.STEP_COLLAPSED:
-        msg = "adaptive step size collapsed below 1e-14 without meeting the tolerances"
-    else:
-        msg = "state went non-finite; reduce dt or tighten tolerances"
-    raise DivergenceError(msg, t=float(ts[n - 1]),
-                          state=(float(vs[n - 1]), float(ws[n - 1])))
+        return _kernels.rk4_trajectory(*args, min(m.dt, cap), cfg.sample_stride)
+    return _kernels.dp45_trajectory(*args, m.rel_tol, m.abs_tol, min(m.max_dt, cap),
+                                    cfg.sample_stride)
 
 
 def simulate(p: Params, drive: Drive, ic: State, t_final: float,
@@ -130,43 +133,30 @@ def simulate(p: Params, drive: Drive, ic: State, t_final: float,
     """
     if not (t_final > t0):
         raise DomainError(f"t_final must exceed t0, got {t_final} <= {t0}")
-    v0, w0 = float(ic[0]), float(ic[1])
-    if not (math.isfinite(v0) and math.isfinite(w0)):
-        raise DomainError(f"initial state must be finite, got ({v0}, {w0})")
-    if isinstance(drive, SignCosine):
-        # integrate each constant-sign segment separately: a step never
-        # straddles a switch, preserving the integrator's order
-        cuts = drive.switch_times(t0, t_final)
-        edges = np.concatenate(([t0], cuts, [t_final]))
-        ts_all = []
-        vs_all = []
-        ws_all = []
-        v, w = v0, w0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b - a <= 1e-14:
-                continue
-            mid = 0.5 * (a + b)
-            c_seg = 1.0 if math.cos(drive.eta * mid) >= 0.0 else -1.0
-            ts, vs, ws, n, ok, _, _ = _run_leg(p, _kernels.DRIVE_FROZEN, c_seg, 0.0,
-                                               np.empty(0), 1.0, v, w, a, b, cfg)
-            _check_leg(ok, ts, vs, ws, n)
-            start = 1 if ts_all else 0
-            ts_all.append(ts[start:n])
-            vs_all.append(vs[start:n])
-            ws_all.append(ws[start:n])
-            v, w = float(vs[n - 1]), float(ws[n - 1])
-        t_arr = np.concatenate(ts_all)
-        v_arr = np.concatenate(vs_all)
-        w_arr = np.concatenate(ws_all)
-    else:
-        code, par1, par2, cs, cs_dt = _drive_code(drive)
-        ts, vs, ws, n, ok, _, _ = _run_leg(p, code, par1, par2, cs, cs_dt,
-                                           v0, w0, t0, t_final, cfg)
-        _check_leg(ok, ts, vs, ws, n)
-        t_arr = ts[:n].copy()
-        v_arr = vs[:n].copy()
-        w_arr = ws[:n].copy()
+    v, w = float(ic[0]), float(ic[1])
+    if not (math.isfinite(v) and math.isfinite(w)):
+        raise DomainError(f"initial state must be finite, got ({v}, {w})")
+    parts = []
+    for drive_code, a, b in _legs(drive, t0, t_final):
+        ts, vs, ws, _, ok = _run_leg(p, drive_code, v, w, a, b, cfg)
+        if ok != 1:
+            # raise at the last recorded sample when a stepper gave up
+            if ok == _kernels.STEP_COLLAPSED:
+                msg = "adaptive step size collapsed below 1e-14 without meeting the tolerances"
+            else:
+                msg = "state went non-finite; reduce dt or tighten tolerances"
+            raise DivergenceError(msg, t=float(ts[-1]), state=(float(vs[-1]), float(ws[-1])))
+        # a later leg's first sample is the end of the leg before it
+        start = 1 if parts else 0
+        parts.append((ts[start:], vs[start:], ws[start:]))
+        v, w = float(vs[-1]), float(ws[-1])
+    t_arr, v_arr, w_arr = (np.concatenate(x) for x in zip(*parts))
     return Trajectory(t=t_arr, v=v_arr, w=w_arr, drive=drive, params=p)
+
+
+def default_arm_level(p: Params) -> float:
+    """The detector's default re-arm level: half the resting depth, v_e(-1)/2."""
+    return equilibrium(p, -1.0).v_e / 2.0
 
 
 def count_spikes(traj: Trajectory, arm_level: Optional[float] = None,
@@ -180,7 +170,7 @@ def count_spikes(traj: Trajectory, arm_level: Optional[float] = None,
     if traj.v.size == 0:
         raise EmptyTrajectoryError("cannot count spikes on an empty trajectory")
     if arm_level is None:
-        arm_level = equilibrium(traj.params, -1.0).v_e / 2.0
+        arm_level = default_arm_level(traj.params)
     if not (arm_level < fire_level):
         raise DomainError(
             f"arm_level must be below fire_level, got {arm_level} >= {fire_level}")

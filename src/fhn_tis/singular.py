@@ -258,11 +258,12 @@ def integrate_singular(p: Params, kappa: float, start_phase: float,
     if start.v >= 0.0 or r0 - start.v * start.v > -tol_denom:
         raise InvalidStartError(
             "start point must lie strictly on the left branch, clear of the fold")
-    ss, vs, ws, cc, n, code, term_s, term_c, term_v, term_w = _kernels.transport_arc(
+    ss, vs, ws, cc, code = _kernels.transport_arc(
         p.A, p.B, p.beta, p.gamma, kappa, start_phase, start.w,
         horizon, ds, tol_denom, sample_stride)
-    term_s = float(term_s)
-    term_c = float(term_c)
+    # the last sample is the terminal point
+    term_s = float(ss[-1])
+    term_c = float(cc[-1])
     if code == _kernels.TERM_FOLD:
         if -1.0 < term_c < 1.0:
             esc = escaping_at_c(p, kappa, term_c)
@@ -275,8 +276,7 @@ def integrate_singular(p: Params, kappa: float, start_phase: float,
         terminal = LeftDomain(s=term_s)
     else:
         terminal = ReachedHorizon(s=term_s)
-    return SingularArc(s=ss[:n].copy(), v=vs[:n].copy(), w=ws[:n].copy(),
-                       c=cc[:n].copy(), terminal=terminal,
+    return SingularArc(s=ss, v=vs, w=ws, c=cc, terminal=terminal,
                        start_phase=start_phase, kappa=kappa)
 
 

@@ -208,14 +208,13 @@ def reference_rk4(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final, dt, s
     t0 + i*dt and lasts min(dt, t_final - t), with stages at t, t + h/2 and
     t + h; a sample is kept every stride steps and at the end. Arithmetic
     follows the kernel's order, so results can match bit for bit. Returns
-    (t, v, w, n, ok, vmax, wmax), the arrays of length n; ok = 0 when the
-    state went non-finite, with the samples ending before it.
+    (t, v, w, n, ok), the arrays of length n; ok = 0 when the state went
+    non-finite, with the samples ending before it.
     """
     rhs = _reference_rhs(kind, args, A, B, beta, gamma, eps)
     steps = math.ceil((t_final - t0) / dt - 1e-12) if t_final > t0 else 0
     t, v, w = t0, v0, w0
     ts, vs, ws = [t], [v], [w]
-    vmax, wmax = abs(v), abs(w)
     ok = 1
     for i in range(steps):
         h = min(dt, t_final - t)
@@ -229,12 +228,11 @@ def reference_rk4(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final, dt, s
         if not (math.isfinite(v) and math.isfinite(w)):
             ok = 0
             break
-        vmax, wmax = max(vmax, abs(v)), max(wmax, abs(w))
         if (i + 1) % stride == 0 or i + 1 == steps:
             ts.append(t)
             vs.append(v)
             ws.append(w)
-    return np.array(ts), np.array(vs), np.array(ws), len(ts), ok, vmax, wmax
+    return np.array(ts), np.array(vs), np.array(ws), len(ts), ok
 
 
 def reference_dp45(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final,
@@ -245,14 +243,13 @@ def reference_dp45(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final,
     max_dt and clipped to land on t_final; the error norm, the step factor
     (0.9*err**-0.2 within [0.2, 5]) and the sampling of every stride-th
     accepted step and of the last follow the kernel's arithmetic, so the two
-    can match bit for bit. Returns (t, v, w, n, ok, vmax, wmax) with the
-    arrays of length n; ok = 0 when the state went non-finite, 2 when the
-    step fell below 1e-14.
+    can match bit for bit. Returns (t, v, w, n, ok) with the arrays of
+    length n; ok = 0 when the state went non-finite, 2 when the step fell
+    below 1e-14.
     """
     rhs = _reference_rhs(kind, args, A, B, beta, gamma, eps)
     t, v, w = t0, v0, w0
     ts, vs, ws = [t], [v], [w]
-    vmax, wmax = abs(v), abs(w)
     ok = 1
     h = max_dt
     accepted = 0
@@ -293,7 +290,6 @@ def reference_dp45(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final,
             if not (math.isfinite(v) and math.isfinite(w)):
                 ok = 0
                 break
-            vmax, wmax = max(vmax, abs(v)), max(wmax, abs(w))
             accepted += 1
             if accepted % stride == 0 or t >= end:
                 ts.append(t)
@@ -308,4 +304,4 @@ def reference_dp45(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final,
         if h < 1e-14:
             ok = 2
             break
-    return np.array(ts), np.array(vs), np.array(ws), len(ts), ok, vmax, wmax
+    return np.array(ts), np.array(vs), np.array(ws), len(ts), ok

@@ -2,12 +2,14 @@
 calls the kernels with fixed signatures, its environment record reads
 _kernels.NUMBA_ENABLED, and its tracer replaces module attributes and must put
 them back. A rename that breaks any of these, or a layer that stops calling
-another through the traced name, fails here."""
+another through the traced name, fails here; so does a change to the sample
+count at index 3 of dp45_trajectory's result, from which the tracer counts
+accepted steps."""
 import importlib
 from pathlib import Path
 
 import fhn_tis as ft
-from fhn_tis import frozen, singular
+from fhn_tis import frozen, sim, singular
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,6 +27,10 @@ def test_benchmark_warmup_and_tracer_resolve(monkeypatch):
     try:
         singular.kappa_threshold(p)
         singular.escape_cycle_check(p, 2.0)
+        drive, ic = ft.AveragedCosine(0.1), ft.State(-1.0, -0.5)
+        sim.simulate(p, drive, ic, 20.0)
+        adaptive = sim.IntegratorConfig(method=sim.AdaptiveRK45(), sample_stride=3)
+        traj = sim.simulate(p, drive, ic, 20.0, adaptive)
     finally:
         uninstall()
     assert tracer.stats["singular.kappa_threshold"].calls == 1
@@ -33,6 +39,12 @@ def test_benchmark_warmup_and_tracer_resolve(monkeypatch):
     # the falling and the rising arc of the escape construction
     assert tracer.stats["_kernels.transport_arc"].calls == 2
     assert tracer.stats["_kernels.leftmost_cubic_root"].calls > 0
+    assert tracer.stats["sim.simulate.averaged_cosine.fixed"].calls == 1
+    assert tracer.stats["_kernels.rk4_trajectory"].units == 2000
+    # accepted steps, to within one stride, from the sample count
+    dp45 = tracer.stats["_kernels.dp45_trajectory"]
+    assert dp45.calls == 1
+    assert dp45.units == (len(traj.t) - 1) * 3 > 0
     # the memoised classify_region is back under both names
     assert frozen.classify_region is original
     assert singular.classify_region is original

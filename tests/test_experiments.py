@@ -63,7 +63,7 @@ def test_runs_match_scalar_kernel_cell_by_cell():
         arm, (v0, w0) = res.manifest["arm_level"], res.manifest["ic"]
         for i, kap in enumerate(res.kappa_values):
             for j, eps in enumerate(res.epsilon_values):
-                c, ok, _, _ = _kernels.cosine_cell_spikes(
+                c, ok = _kernels.cosine_cell_spikes(
                     res.A, res.B, 0.8, 0.5, float(eps), float(kap * eps), v0, w0,
                     50.0, 0.01, 0.0, arm)
                 assert res.counts[i, j] == (c if ok else -1)
@@ -77,7 +77,7 @@ def test_runs_match_scalar_kernel_cell_by_cell():
         assert res.counts.shape == (gs.grid_points, gs.grid_points)
         for i, v0 in enumerate(res.v0_values):
             for j, w0 in enumerate(res.w0_values):
-                c, ok, _, _ = _kernels.cosine_cell_spikes(
+                c, ok = _kernels.cosine_cell_spikes(
                     gs.A, gs.B, gs.beta, gs.gamma, gs.epsilon, gs.kappa * gs.epsilon,
                     float(v0), float(w0), gs.t_final, 0.01, 0.0,
                     res.manifest["arm_level"])

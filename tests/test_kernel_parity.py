@@ -82,8 +82,8 @@ def test_ensemble_matches_scalar_cell_kernel():
         ref = [fast.cosine_cell_spikes(
                    *(float(x[i]) for x in (A, B, beta, gamma, eps, eta, v0, w0)),
                    t_final, dt, 0.0, float(arm[i])) for i in range(n)]
-        assert counts.tolist() == [c for c, _, _, _ in ref]
-        assert ok.tolist() == [bool(k) for _, k, _, _ in ref]
+        assert counts.tolist() == [c for c, _ in ref]
+        assert ok.tolist() == [bool(k) for _, k in ref]
         assert counts[0] >= 1
         diverged |= set(np.flatnonzero(~ok).tolist())
     assert {1, 2} <= diverged
@@ -121,8 +121,8 @@ def test_ensemble_counts_across_block_boundaries(monkeypatch, block):
         ref = [fast.cosine_cell_spikes(A, B, beta, gamma, eps, eta, float(v0[i]),
                                        float(w0[i]), 30.0, dt, fire, float(arm[i]))
                for i in range(len(starts))]
-        assert counts.tolist() == [c for c, _, _, _ in ref]
-        assert ok.tolist() == [bool(k) for _, k, _, _ in ref]
+        assert counts.tolist() == [c for c, _ in ref]
+        assert ok.tolist() == [bool(k) for _, k in ref]
         assert counts[1] >= 1 and counts[2] == 0 and not ok[2]
     # the start (-1, -10) keeps the spike it fired before going non-finite
     assert counts[0] == 1 and not ok[0]
@@ -135,9 +135,10 @@ def test_ensemble_rejects_arm_above_fire():
 
 
 def _rk4_bits(out):
-    t, v, w, n, ok, vmax, wmax = out
-    return ([a[:n].view(np.int64).tolist() for a in (t, v, w)], n, ok,
-            np.float64(vmax).view(np.int64), np.float64(wmax).view(np.int64))
+    # the whole returned arrays, which hold exactly the n samples
+    t, v, w, n, ok = out
+    assert len(t) == len(v) == len(w) == n
+    return [a.view(np.int64).tolist() for a in (t, v, w)], n, ok
 
 
 def test_rk4_trajectory_matches_stagewise_reference():
@@ -168,7 +169,7 @@ def test_rk4_trajectory_matches_stagewise_reference():
             ref = oracles.reference_rk4(name, args, A, B, beta, gamma, eps,
                                         v0, w0, t0, t_final, dt, stride)
             assert _rk4_bits(got) == _rk4_bits(ref), (name, t0, t_final, stride)
-            assert got[0][got[3] - 1] == t_final
+            assert got[0][-1] == t_final
     # a diverging start stops both at the same sample with ok = 0
     for name, (code, par1, par2, cs, cs_dt, args) in drives.items():
         got = fast.rk4_trajectory(code, par1, par2, cs, cs_dt, 0.3, 0.3, 0.8, 0.5, 0.1,

@@ -281,7 +281,9 @@ def test_integrate_singular_matches_dop853_reference():
         assert isinstance(arc.terminal, names[kind])
         # every grid sample; the last one is the terminal sample
         assert np.max(np.abs(arc.w[:-1] - w_of(arc.s[:-1]))) < 1e-8
+        assert arc.terminal.s == arc.s[-1]
         if kind == "fold":
+            assert arc.terminal.c == arc.c[-1]
             assert abs(arc.terminal.s - s_end) < singular.DEFAULT_DS
         else:
             assert arc.terminal.s == pytest.approx(s_end, abs=1e-12)
