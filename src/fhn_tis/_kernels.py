@@ -14,7 +14,7 @@ cosine_ensemble_spikes steps many sweep cells at once on numpy arrays, on the
 same time rule. Its state is one (2, n) array (rows v and w), and a step
 writes into stage arrays and temporaries allocated once per call, so its cost
 at a few cells is the count of numpy calls: 54 a step for the RK4 stages and
-three for the spike count, against about 80 for a per-step update on fresh
+two for the spike count, against about 80 for a per-step update on fresh
 arrays. Spikes are not counted step by step: the states of a block of steps
 are stored, and the hysteresis and the finiteness flag are evaluated over the
 block afterwards, with the detector state and the flag carried from block to
@@ -357,16 +357,15 @@ def _count_block(states, fire, arm, counts, armed, ok):
     breaks at its first non-finite state. The detector fires on v >= fire
     when armed and re-arms on v < arm; with arm <= fire no state does both,
     so a spike is a step that takes the detector from armed to disarmed.
-    The comparisons run over the whole block at once; the running
-    finiteness flag takes one numpy call per stored step, and the detector
-    state two.
+    The comparisons run over the whole block at once, and so does the
+    running finiteness flag, in one numpy call; the detector state takes
+    two calls per stored step.
     """
     m = len(states)
     finite = np.isfinite(states)
     alive = finite[:, 0] & finite[:, 1]
     alive[0] &= ok
-    for j in range(1, m):
-        np.logical_and(alive[j], alive[j - 1], out=alive[j])
+    np.logical_and.accumulate(alive, axis=0, out=alive)
     v = states[:, 0]
     up = v >= fire
     up &= alive

@@ -22,11 +22,14 @@ from .singular import (CubicPoint, escape_cycle_check, integrate_singular,
                        kappa_threshold, predicts_no_tonic)
 from .sim import (AdaptiveRK45, FixedRK4, IntegratorConfig, count_spikes, simulate)
 from .errors import RegionPreconditionError
-from .experiments import (desk_grid_specs, desk_sweep_spec, paper_grid_specs,
+from .experiments import (_write_csv, desk_grid_specs, desk_sweep_spec, paper_grid_specs,
                           paper_sweep_spec, run_experiment1, run_experiment2,
                           save_grid_results, save_sweep_results)
 
 _PARAM_FLAGS = ("A", "B", "beta", "gamma", "epsilon")
+_DRIVE_FLAGS = ("eta", "c", "omega1", "omega2")
+_INTEGRATOR_DEFAULTS = {"method": "fixed", "dt": 0.01, "rel_tol": 1e-8, "abs_tol": 1e-8,
+                        "max_dt": 1.0, "stride": 10}
 
 
 def _load_config(path):
@@ -41,59 +44,56 @@ def _load_config(path):
         raise ConfigError(f"config file is not valid JSON: {exc}", key="config")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object", key="config")
-    for k in cfg:
+    for k, section in cfg.items():
         if k not in ("params", "drive", "integrator"):
             raise ConfigError(f"unknown config section: {k!r}", key=k)
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {k!r} must be a JSON object", key=k)
     return cfg
 
 
-def _build_params(args, cfg) -> Params:
-    d = dict(cfg.get("params", {}))
-    for name in _PARAM_FLAGS:
-        val = getattr(args, name, None)
+def _with_flags(section, args, keys) -> dict:
+    """A copy of a config-file section in which each given flag named in keys
+    sets its key. An explicit 0 is kept, so that validation rejects it.
+    """
+    d = dict(section)
+    for key in keys:
+        val = getattr(args, key, None)
         if val is not None:
-            d[name] = val
-    return params_from_dict(d)
+            d[key] = val
+    return d
+
+
+def _build_params(args, cfg) -> Params:
+    return params_from_dict(_with_flags(cfg.get("params", {}), args, _PARAM_FLAGS))
 
 
 def _build_drive(args, cfg):
+    d = cfg.get("drive", {})
     kind = getattr(args, "drive", None)
-    if kind is not None:
+    if kind is not None and kind != d.get("kind"):
+        # a kind other than the file's takes none of the file's keys
         d = {"kind": kind}
-        for key, flag in (("eta", "eta"), ("c", "c"),
-                          ("omega1", "omega1"), ("omega2", "omega2")):
-            val = getattr(args, flag, None)
-            if val is not None:
-                d[key] = val
-        return drive_from_dict(d)
-    if "drive" in cfg:
-        return drive_from_dict(cfg["drive"])
-    raise ConfigError("no drive given: pass --drive or a config 'drive' section",
-                      key="drive")
+    if not d:
+        raise ConfigError("no drive given: pass --drive or a config 'drive' section",
+                          key="drive")
+    return drive_from_dict(_with_flags(d, args, _DRIVE_FLAGS))
 
 
 def _build_integrator(args, cfg) -> IntegratorConfig:
-    d = dict(cfg.get("integrator", {}))
+    d = cfg.get("integrator", {})
     for k in d:
-        if k not in ("method", "dt", "rel_tol", "abs_tol", "max_dt", "stride"):
+        if k not in _INTEGRATOR_DEFAULTS:
             raise ConfigError(f"unknown integrator key: {k!r}", key=k)
-
-    def pick(key, default):
-        # a flag overrides the config file, which overrides the default; an
-        # explicit 0 is kept, so that validation rejects it
-        val = getattr(args, key, None)
-        return d.get(key, default) if val is None else val
-
-    method_name = pick("method", "fixed")
-    stride = pick("stride", 10)
-    if method_name == "fixed":
-        method = FixedRK4(dt=pick("dt", 0.01))
-    elif method_name == "adaptive":
-        method = AdaptiveRK45(rel_tol=pick("rel_tol", 1e-8), abs_tol=pick("abs_tol", 1e-8),
-                              max_dt=pick("max_dt", 1.0))
+    d = _with_flags({**_INTEGRATOR_DEFAULTS, **d}, args, _INTEGRATOR_DEFAULTS)
+    if d["method"] == "fixed":
+        method = FixedRK4(dt=d["dt"])
+    elif d["method"] == "adaptive":
+        method = AdaptiveRK45(rel_tol=d["rel_tol"], abs_tol=d["abs_tol"],
+                              max_dt=d["max_dt"])
     else:
-        raise ConfigError(f"unknown integrator method: {method_name!r}", key="method")
-    return IntegratorConfig(method=method, sample_stride=int(stride))
+        raise ConfigError(f"unknown integrator method: {d['method']!r}", key="method")
+    return IntegratorConfig(method=method, sample_stride=int(d["stride"]))
 
 
 def _yesno(flag: bool) -> str:
@@ -128,17 +128,7 @@ def _cmd_classify(args) -> int:
           f"no_spiking={quiet} "
           f"piecewise_tonic={_yesno(piecewise_spiking_condition(p))}")
     if args.table:
-        table = frozen_table(p, c_grid_size=args.c_grid_size)
-        cols = ["c", "r", "v_m", "w_m", "v_e", "w_e", "unique", "les"]
-        with open(args.table, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(table["c"].size):
-                row = []
-                for col in cols:
-                    x = table[col][i]
-                    row.append(str(int(x)) if col in ("unique", "les")
-                               else repr(float(x)))
-                fh.write(",".join(row) + "\n")
+        _write_csv(args.table, frozen_table(p, c_grid_size=args.c_grid_size))
         print(f"wrote {args.table}")
     return 0
 
@@ -156,11 +146,7 @@ def _cmd_simulate(args) -> int:
     print(f"samples={traj.t.size} t_final={args.t_final!r} "
           f"spikes={report.count} tonic={_yesno(report.tonic)}")
     if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            fh.write("t,v,w\n")
-            for i in range(0, traj.t.size, args.decimate):
-                fh.write(f"{float(traj.t[i])!r},{float(traj.v[i])!r},"
-                         f"{float(traj.w[i])!r}\n")
+        _write_csv(args.out_csv, {x: getattr(traj, x)[::args.decimate] for x in "tvw"})
         print(f"wrote {args.out_csv}")
     if args.spikes_json:
         with open(args.spikes_json, "w") as fh:
@@ -168,14 +154,6 @@ def _cmd_simulate(args) -> int:
                        "count": report.count, "tonic": report.tonic}, fh, indent=2)
         print(f"wrote {args.spikes_json}")
     return 0
-
-
-def _dump_arc(arc, path):
-    with open(path, "w") as fh:
-        fh.write("s,v,w,c\n")
-        for i in range(arc.s.size):
-            fh.write(f"{float(arc.s[i])!r},{float(arc.v[i])!r},"
-                     f"{float(arc.w[i])!r},{float(arc.c[i])!r}\n")
 
 
 def _cmd_singular_check(args) -> int:
@@ -195,21 +173,17 @@ def _cmd_singular_check(args) -> int:
     if args.dump_arcs:
         out = Path(args.dump_arcs)
         out.mkdir(parents=True, exist_ok=True)
-        half = math.pi / args.kappa
-        eq_bot = equilibrium(p, -1.0)
-        rest_arc = integrate_singular(
-            p, args.kappa, math.pi,
-            CubicPoint(v=eq_bot.v_e, w=eq_bot.w_e, c=-1.0), half, ds=args.ds)
-        _dump_arc(rest_arc, out / "arc_rising_from_rest.csv")
-        eq_top = equilibrium(p, 1.0)
-        down_arc = integrate_singular(
-            p, args.kappa, 0.0,
-            CubicPoint(v=eq_top.v_e, w=eq_top.w_e, c=1.0), half, ds=args.ds)
-        _dump_arc(down_arc, out / "arc_falling.csv")
-        if cycle.handoff is not None:
-            up_arc = integrate_singular(p, args.kappa, math.pi, cycle.handoff,
-                                        half, ds=args.ds)
-            _dump_arc(up_arc, out / "arc_rising_from_handoff.csv")
+        bot, top = equilibrium(p, -1.0), equilibrium(p, 1.0)
+        # (file name, start phase, start point); there is no handoff when the
+        # falling arc ended early
+        arcs = [("arc_rising_from_rest.csv", math.pi, CubicPoint(bot.v_e, bot.w_e, -1.0)),
+                ("arc_falling.csv", 0.0, CubicPoint(top.v_e, top.w_e, 1.0)),
+                ("arc_rising_from_handoff.csv", math.pi, cycle.handoff)]
+        for name, phase, start in arcs:
+            if start is not None:
+                arc = integrate_singular(p, args.kappa, phase, start,
+                                         math.pi / args.kappa, ds=args.ds)
+                _write_csv(out / name, {x: getattr(arc, x) for x in "svwc"})
         print(f"wrote arcs to {out}")
     return 0
 
@@ -358,10 +332,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, RegionPreconditionError) as exc:
+    except (ConfigError, DomainError, RegionPreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

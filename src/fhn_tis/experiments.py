@@ -319,10 +319,25 @@ def paper_grid_specs() -> list:
     return out
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
+def _write_csv(path, columns, comments=()) -> None:
+    """Write equal-length columns, in order, under ``# key=value`` lines.
+
+    columns maps each header name to a 1-D array. Floats are written in
+    round-trip repr, flags (bool columns) as 0/1 and integers in decimal.
+    comments holds (key, value) pairs; a float value is written in
+    round-trip repr and any other value as str gives it.
+    """
+    cells = []
+    for col in columns.values():
+        arr = np.asarray(col)
+        if arr.dtype == bool:
+            arr = arr.astype(np.int64)
+        cells.append(map(repr, arr.tolist()))
+    with open(path, "w") as fh:
+        for k, v in comments:
+            fh.write(f"# {k}={float(v)!r}\n" if isinstance(v, float) else f"# {k}={v}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def save_sweep_results(results, out_dir) -> list:
@@ -338,14 +353,13 @@ def save_sweep_results(results, out_dir) -> list:
     for res in results:
         stem = f"panel_{res.A:g}_{res.B:g}"
         csv_path = out / f"{stem}.csv"
-        with open(csv_path, "w") as fh:
-            for k, v in res.manifest.items():
-                fh.write(f"# {k}={_fmt(v)}\n")
-            fh.write("kappa,epsilon,count,tonic\n")
-            for i, kap in enumerate(res.kappa_values):
-                for j, eps in enumerate(res.epsilon_values):
-                    fh.write(f"{float(kap)!r},{float(eps)!r},"
-                             f"{int(res.counts[i, j])},{int(res.counts[i, j] >= 2)}\n")
+        # one row per cell, kappa outer
+        n_kappa, n_eps = res.counts.shape
+        _write_csv(csv_path, {"kappa": np.repeat(res.kappa_values, n_eps),
+                              "epsilon": np.tile(res.epsilon_values, n_kappa),
+                              "count": res.counts.ravel(),
+                              "tonic": res.counts.ravel() >= 2},
+                   res.manifest.items())
         written.append(csv_path)
         mat_path = out / f"{stem}_matrix.txt"
         with open(mat_path, "w") as fh:
@@ -378,14 +392,11 @@ def save_grid_results(results, out_dir) -> list:
         gs = res.settings
         stem = f"grid_{gs.A:g}_{gs.B:g}_kappa{gs.kappa:g}_eps{gs.epsilon:g}"
         csv_path = out / f"{stem}.csv"
-        with open(csv_path, "w") as fh:
-            for k, v in res.manifest.items():
-                fh.write(f"# {k}={_fmt(v)}\n")
-            fh.write("v0,w0,count\n")
-            for i, v0 in enumerate(res.v0_values):
-                for j, w0 in enumerate(res.w0_values):
-                    fh.write(f"{float(v0)!r},{float(w0)!r},"
-                             f"{int(res.counts[i, j])}\n")
+        # one row per cell, v0 outer
+        _write_csv(csv_path, {"v0": np.repeat(res.v0_values, res.w0_values.size),
+                              "w0": np.tile(res.w0_values, res.v0_values.size),
+                              "count": res.counts.ravel()},
+                   res.manifest.items())
         written.append(csv_path)
         manifests.append(res.manifest)
     man_path = out / "manifest.json"

@@ -171,21 +171,16 @@ def envelope(drive: Drive, t: float) -> float:
 def rhs_averaged(p: Params, drive: Drive, t: float, s: State) -> tuple[float, float]:
     """Vector field of the envelope-driven system at time t and state s."""
     v, w = s
-    f = envelope(drive, t)
-    r = 1.0 - p.A * p.A / 2.0 - p.B * p.B / 2.0 - p.A * p.B * f
-    dv = r * v - v ** 3 / 3.0 - w
-    dw = p.epsilon * (v - p.gamma * w + p.beta)
-    return dv, dw
+    return _kernels._rhs(_kernels.DRIVE_FROZEN, envelope(drive, t), 0.0, (), 1.0,
+                         p.A, p.B, p.beta, p.gamma, p.epsilon, t, v, w)
 
 
 def rhs_full(p: Params, omega1: float, omega2: float, t: float,
              s: State) -> tuple[float, float]:
     """Vector field of the two-carrier system at time t and state s."""
     v, w = s
-    forcing = p.A * omega1 * math.cos(omega1 * t) + p.B * omega2 * math.cos(omega2 * t)
-    dv = v - v ** 3 / 3.0 - w + forcing
-    dw = p.epsilon * (v - p.gamma * w + p.beta)
-    return dv, dw
+    return _kernels._rhs(_kernels.DRIVE_RAW, omega1, omega2, (), 1.0,
+                         p.A, p.B, p.beta, p.gamma, p.epsilon, t, v, w)
 
 
 def effective_amplitudes(A: float, B: float) -> tuple[float, float]:

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DivergenceError, DomainError, EmptyTrajectoryError)
-from .frozen import equilibrium
+from .frozen import _gain, equilibrium
 from .model import (AveragedCosine, CustomSampled, Drive, FrozenConstant, Params,
-                    RawInterference, SignCosine, State)
+                    RawInterference, SignCosine, State, envelope)
 
 # carrier resolution: at least this many steps per fast period of the raw drive
 _RAW_STEPS_PER_PERIOD = 20
@@ -100,13 +100,10 @@ def _legs(drive: Drive, t0: float, t_final: float):
     if not isinstance(drive, SignCosine):
         return [(_drive_code(drive), t0, t_final)]
     edges = np.concatenate(([t0], drive.switch_times(t0, t_final), [t_final]))
-    legs = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 1e-14:
-            continue
-        c_seg = 1.0 if math.cos(drive.eta * (0.5 * (a + b))) >= 0.0 else -1.0
-        legs.append(((_kernels.DRIVE_FROZEN, c_seg, 0.0, (), 1.0), a, b))
-    return legs
+    # a segment of at most 1e-14 is skipped, unless no other is left
+    spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > 1e-14]
+    return [(_drive_code(FrozenConstant(envelope(drive, 0.5 * (a + b)))), a, b)
+            for a, b in spans or [(t0, t_final)]]
 
 
 def _run_leg(p: Params, drive_code, v0, w0, t0, t1, cfg):
@@ -185,7 +182,7 @@ def invariant_box(p: Params) -> tuple[float, float]:
     L is the smallest power-of-two reach of a doubling search making the
     outward flux on the box edge nonpositive; S follows from L.
     """
-    worst_gain = 1.0 - p.A * p.A / 2.0 - p.B * p.B / 2.0 + p.A * p.B
+    worst_gain = _gain(p, -1.0)
     L = 1.0
     while True:
         S = (L + p.beta) / p.gamma + 1.0

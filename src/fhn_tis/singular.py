@@ -112,12 +112,12 @@ class EscapeCycleCheck:
 def envelope_coordinate(p: Params, v: float, w: float) -> EnvelopeCoordinate:
     """The unique c whose cubic passes through (v, w), with an in-band flag.
 
-    Inverts w = r(c)*v - v**3/3 for c; undefined on the axis v = 0.
+    Inverts w = r(c)*v - v**3/3, with r(c) = r(0) - c*A*B, for c; undefined
+    on the axis v = 0.
     """
     if v == 0.0:
         raise UndefinedCoordinateError("envelope coordinate is undefined at v = 0")
-    rho = 1.0 - p.A * p.A / 2.0 - p.B * p.B / 2.0
-    c = (-w + v * rho - v ** 3 / 3.0) / (v * p.A * p.B)
+    c = (-w + v * _gain(p, 0.0) - v ** 3 / 3.0) / (v * p.A * p.B)
     return EnvelopeCoordinate(c=c, in_band=abs(c) <= 1.0)
 
 
@@ -249,8 +249,7 @@ def integrate_singular(p: Params, kappa: float, start_phase: float,
     if abs(start.c - c0) > 1e-9:
         raise InvalidStartError(
             f"start.c={start.c} does not match cos(start_phase)={c0}")
-    rho = 1.0 - p.A * p.A / 2.0 - p.B * p.B / 2.0
-    r0 = rho - c0 * p.A * p.B
+    r0 = _gain(p, c0)
     resid = abs(r0 * start.v - start.v ** 3 / 3.0 - start.w)
     if resid > ON_CUBIC_TOL:
         raise InvalidStartError(

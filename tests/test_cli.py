@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import fhn_tis as ft
 from fhn_tis.cli import main
 
 STD = ["--A", "0.3", "--B", "0.3", "--beta", "0.8", "--gamma", "0.5",
@@ -34,6 +36,18 @@ def test_classify_table_output(tmp_path, capsys):
     assert lines[0] == "c,r,v_m,w_m,v_e,w_e,unique,les"
     assert len(lines) == 12
     assert float(lines[1].split(",")[0]) == -1.0
+    # at A = B = 0.9 the gain is <= 0 for c > 0.23: no fold, so v_m and w_m
+    # are nan there; floats parse back exactly and flags are 0/1
+    assert main(["classify"] + STD + ["--A", "0.9", "--B", "0.9", "--c-grid-size", "11",
+                                      "--table", str(path)]) == 0
+    table = ft.frozen_table(ft.Params(0.9, 0.9, 0.8, 0.5, 0.1), c_grid_size=11)
+    rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows].count("nan") == 4
+    for i, row in enumerate(rows):
+        assert np.array_equal([float(x) for x in row[:6]],
+                              [table[k][i] for k in ("c", "r", "v_m", "w_m", "v_e", "w_e")],
+                              equal_nan=True)
+        assert row[6:] == [str(int(table[k][i])) for k in ("unique", "les")]
 
 
 def test_missing_parameter_is_named(capsys):
@@ -130,11 +144,37 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert "A" in capsys.readouterr().err
 
 
+def test_config_drive_keys_take_flags_one_by_one(tmp_path, capsys):
+    cfg = tmp_path / "drive.json"
+    cfg.write_text(json.dumps({
+        "params": {"A": 0.3, "B": 0.3, "beta": 0.8, "gamma": 0.5, "epsilon": 0.02},
+        "drive": {"kind": "averaged_cosine", "eta": 0.04},
+    }))
+
+    def spikes(*flags):
+        assert main(["simulate", "--config", str(cfg), "--t-final", "500", *flags]) == 0
+        return dict(kv.split("=") for kv in capsys.readouterr().out.split())["spikes"]
+
+    # a flag overrides the file's key; --drive naming the file's kind keeps its keys
+    assert spikes() == spikes("--drive", "averaged_cosine") == "4"
+    assert spikes("--eta", "0.4") == spikes("--drive", "averaged_cosine", "--eta", "0.4")
+    assert spikes("--eta", "0.4") == "1"
+    # another kind starts from the flags alone
+    assert spikes("--drive", "frozen_constant", "--c", "0.5") == "1"
+    # a flag the file's kind has no key for is rejected, not dropped
+    assert main(["simulate", "--config", str(cfg), "--t-final", "500", "--c", "0.5"]) == 2
+    assert "'c'" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_section(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"params": {}, "solver": {}}))
     assert main(["classify", "--config", str(cfg)] + STD) == 2
     assert "solver" in capsys.readouterr().err
+    # a section that is not an object is named too
+    cfg.write_text(json.dumps({"drive": "sign_cosine"}))
+    assert main(["simulate", "--config", str(cfg), "--t-final", "5"] + STD) == 2
+    assert "section 'drive'" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_integrator_key(tmp_path, capsys):

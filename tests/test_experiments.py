@@ -173,6 +173,20 @@ def test_save_sweep_results_layout(tmp_path):
     assert manifest["panels"][0]["A"] == 0.3
 
 
+def test_sweep_csv_rows_parse_back_exactly(tmp_path):
+    # axes whose values need all 17 digits, such as 2.4000000000000004
+    res = ft.run_experiment1(tiny_spec(t_final=50.0, kappa_range=(0.8, 2.4, 0.8),
+                                       epsilon_range=(0.1, 0.3, 0.1)))[0]
+    ft.save_sweep_results([res], tmp_path)
+    lines = (tmp_path / "panel_0.3_0.3.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    cells = [(k, e, int(res.counts[i, j]))
+             for i, k in enumerate(res.kappa_values.tolist())
+             for j, e in enumerate(res.epsilon_values.tolist())]
+    assert 2.4000000000000004 in res.kappa_values.tolist()
+    assert [(float(k), float(e), int(c)) for k, e, c, _ in rows] == cells
+
+
 def test_save_grid_results_layout(tmp_path):
     spec = ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=2.0,
                        epsilon=0.02, t_final=100.0, grid_points=3)

@@ -128,6 +128,23 @@ def test_ensemble_counts_across_block_boundaries(monkeypatch, block):
     assert counts[0] == 1 and not ok[0]
 
 
+def test_count_block_stops_at_first_non_finite_state():
+    # a step counts only while every state up to it is finite, even where a
+    # state after it is finite again: cell 0 has v = nan at step 1, cell 3
+    # w = inf at step 0; cell 2 enters the block not ok; cell 1 fires twice
+    nan, inf = math.nan, math.inf
+    v = [[-1.0, -1.0, -1.0, -1.0], [nan, 1.0, 1.0, 1.0],
+         [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
+    w = [[0.0, 0.0, 0.0, inf], [0.0] * 4, [0.0] * 4, [0.0] * 4]
+    states = np.stack((v, w), axis=1)
+    counts = np.zeros(4, dtype=np.int64)
+    armed = np.ones(4, dtype=bool)
+    ok = np.array([True, True, False, True])
+    fast._count_block(states, 0.0, -0.5, counts, armed, ok)
+    assert counts.tolist() == [0, 2, 0, 0]
+    assert ok.tolist() == [False, True, False, False]
+
+
 def test_ensemble_rejects_arm_above_fire():
     with pytest.raises(DomainError, match="arm"):
         fast.cosine_ensemble_spikes(0.3, 0.3, 0.8, 0.5, 0.1, 0.2, 0.0, 0.0,

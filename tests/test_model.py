@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fhn_tis as ft
+from fhn_tis import _kernels
 from fhn_tis.errors import ConfigError, UnsupportedDriveError
 
 
@@ -137,6 +138,28 @@ def test_rhs_dw_component_exact():
         t = float(rng.uniform(0, 20))
         _, dw = ft.rhs_averaged(p, ft.AveragedCosine(eta=0.7), t, ft.State(v, w))
         assert dw == p.epsilon * (v - p.gamma * w + p.beta)
+
+
+def test_rhs_is_the_kernel_right_hand_side():
+    # the model's vector fields are the kernels' _rhs, whose dv (v*v*v, and
+    # the carrier terms added one at a time) rounds apart from the textbook form
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        A, B, beta, gamma, eps = (float(x) for x in rng.uniform(0.05, 1.0, size=5))
+        p = ft.Params(A=A, B=B, beta=beta, gamma=gamma, epsilon=eps)
+        v, w, t = (float(x) for x in rng.uniform(-3, 3, size=3))
+        c = float(rng.uniform(-1, 1))
+        w1 = float(rng.uniform(5, 10))
+        w2 = w1 + float(rng.uniform(0.01, 3))
+        args = (A, B, beta, gamma, eps, t, v, w)
+        avg = ft.rhs_averaged(p, ft.FrozenConstant(c=c), t, ft.State(v, w))
+        full = ft.rhs_full(p, w1, w2, t, ft.State(v, w))
+        assert avg == _kernels._rhs(_kernels.DRIVE_FROZEN, c, 0.0, (), 1.0, *args)
+        assert full == _kernels._rhs(_kernels.DRIVE_RAW, w1, w2, (), 1.0, *args)
+        r = 1.0 - A * A / 2.0 - B * B / 2.0 - A * B * c
+        forcing = A * w1 * math.cos(w1 * t) + B * w2 * math.cos(w2 * t)
+        assert avg[0] == pytest.approx(r * v - v ** 3 / 3.0 - w, abs=1e-14)
+        assert full[0] == pytest.approx(v - v ** 3 / 3.0 - w + forcing, abs=1e-14)
 
 
 def test_rhs_full_hand_value():

@@ -88,6 +88,17 @@ def test_sign_drive_segments_join_cleanly():
         assert np.sum(np.isclose(traj.t, cut, atol=1e-12)) == 1
 
 
+def test_sign_drive_span_below_segment_floor():
+    # a span of at most 1e-14 with no switch inside still makes one leg, and
+    # the square wave returns the start sample as the other drives do
+    p = std()
+    for drive in (ft.SignCosine(eta=1.0), ft.AveragedCosine(eta=1.0),
+                  ft.FrozenConstant(c=1.0)):
+        traj = ft.simulate(p, drive, ft.State(-1.0, -0.5), 1e-15)
+        assert traj.t.tolist() == [0.0]
+        assert (traj.v.tolist(), traj.w.tolist()) == ([-1.0], [-0.5])
+
+
 def test_sign_drive_spikes_follow_upward_switches():
     p = std(epsilon=0.01)
     eq1 = ft.equilibrium(p, 1.0)
