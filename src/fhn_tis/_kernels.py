@@ -11,17 +11,16 @@ samples are bit-identical to those of stage-wise _rhs calls, which only the
 adaptive dp45_trajectory still makes, six per attempt (first same as last).
 
 cosine_ensemble_spikes steps many sweep cells at once on numpy arrays, on the
-same time rule. Its state is one (2, n) array (rows v and w), and a step
-writes into stage arrays and temporaries allocated once per call, so its cost
-at a few cells is the count of numpy calls: 54 a step for the RK4 stages and
-two for the spike count, against about 80 for a per-step update on fresh
-arrays. Spikes are not counted step by step: the states of a block of steps
-are stored, and the hysteresis and the finiteness flag are evaluated over the
-block afterwards, with the detector state and the flag carried from block to
-block. Every elementwise operation is the scalar kernel's, in its order, and
-the block count gives each step the detector state of a per-step update, so
-the counts equal cosine_cell_spikes' cell by cell. spike_scan makes one pass
-over the samples as Python floats.
+same time rule. A step writes into buffers allocated once per call, the state
+laid out [r*v | v | w | -beta], n values a block, so its cost at a few cells
+is the count of numpy calls: 45 a step for the RK4 stages, against about 80
+on fresh arrays, and two for the spike count. Spikes are not counted step by
+step: the states of a block of steps are stored, and the hysteresis and the
+finiteness flag are evaluated over the block afterwards, with the detector
+state and the flag carried from block to block. Every elementwise operation
+is the scalar kernel's, in its order, and the block count gives each step the
+detector state of a per-step update, so the counts equal cosine_cell_spikes'
+cell by cell. spike_scan makes one pass over the samples as Python floats.
 
 rk4_trajectory, dp45_trajectory and transport_arc append their samples to
 Python lists and return them as float64 arrays of exactly the samples taken;
@@ -386,18 +385,19 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
 
     The per-cell arguments A..arm broadcast to one shape; t_final, dt and fire
     are shared, so every cell takes the same steps, on rk4_trajectory's time
-    rule. The state is one (2, n) array, rows v and w. The four stage arrays,
-    the stage state and the temporaries are allocated once per call, and
-    every step writes its ufunc results into them with out=; the right-hand
-    side is evaluated row by row in the scalar kernel's operation order, and
-    the stage sums and the final update run on both rows in one call each,
-    which rounds as the scalar kernel does row by row. The states of each
-    block of steps are stored and counted after the block by _count_block,
-    which carries the detector state and the ok flag into the next block, so
-    the counts are those of a per-step update. A cell stops counting at its
-    first non-finite state, where the scalar loop breaks, so the result
-    equals cosine_cell_spikes cell by cell. Every arm must lie at or below
-    fire. Returns (counts, ok), int64 and bool arrays of the broadcast shape.
+    rule. The state X and the stage state S are laid out [r*v | v | w | -beta]
+    and the four stage arrays [kv | kw], n values a block, all allocated once
+    per call; a stage's right-hand side is 8 ufunc calls on them (see rhs),
+    and the stage states, stage sums and final update take one call each on
+    [v | w]. Every elementwise operation is the scalar kernel's, on its
+    operands and in its order, so it rounds as the scalar kernel does. The
+    states of each block of steps are stored and counted after the block by
+    _count_block, which carries the detector state and the ok flag into the
+    next block, so the counts are those of a per-step update. A cell stops
+    counting at its first non-finite state, where the scalar loop breaks, so
+    the result equals cosine_cell_spikes cell by cell. Every arm must lie at
+    or below fire. Returns (counts, ok), int64 and bool arrays of the
+    broadcast shape.
     """
     cells = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
                                   for x in (A, B, beta, gamma, eps, eta, v0, w0, arm)))
@@ -413,29 +413,30 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
     ok = np.ones(n, dtype=bool)
     nst = int(math.ceil(t_final / dt - 1e-12)) if n else 0
     block = max(_ENSEMBLE_MIN_STEPS, _ENSEMBLE_BLOCK // max(1, n))
-    X = np.stack((v, w))
-    S = np.empty_like(X)
-    K1, K2, K3, K4 = np.empty((4, 2, n))
-    cube = np.empty(n)
-    stored = np.empty((min(block, nst), 2, n))
+    X = np.concatenate((v, v, w, -beta))
+    S = X.copy()
+    K = np.empty((4, 2 * n))
+    stored = np.empty((min(block, nst), 2 * n))
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    K1, K2, K3, K4 = K
+    Xvw, Svw, K23 = X[n:3 * n], S[n:3 * n], K[1:3]
+    x_parts, s_parts = ((a[:n], a[n:2 * n], a[2 * n:3 * n], a[:2 * n], a[2 * n:])
+                        for a in (X, S))
+    k_parts = [(k, k[:n], k[n:]) for k in K]
 
     def rhs(r, x, k):
-        # k = (r*v - v*v*v/3.0 - w, eps*(v - gamma*w + beta)) at the state x
-        (xv, xw), (kv, kw) = x, k
-        mul(xv, xv, out=cube)
-        mul(cube, xv, out=cube)
-        div(cube, 3.0, out=cube)
-        mul(r, xv, out=kv)
-        sub(kv, cube, out=kv)
-        sub(kv, xw, out=kv)
-        mul(gamma, xw, out=kw)
-        sub(xv, kw, out=kw)
-        add(kw, beta, out=kw)
-        mul(eps, kw, out=kw)
+        # k = [r*v - v*v*v/3.0 - w | eps*(v - gamma*w + beta)] at the state x;
+        # k holds [v*v*v/3.0 | gamma*w] first, and x - (-beta) is x + beta
+        (rv, xv, xw, rv_v, w_nb), (k, kv, kw) = x, k
+        mul(xv, xv, kv)
+        mul(kv, xv, kv)
+        div(kv, 3.0, kv)
+        mul(gamma, xw, kw)
+        mul(r, xv, rv)
+        sub(rv_v, k, k)
+        sub(k, w_nb, k)
+        mul(eps, kw, kw)
 
-    x_rows, s_rows = tuple(X), tuple(S)
-    k_rows = [tuple(k) for k in (K1, K2, K3, K4)]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nst, block):
             t = np.arange(start, min(start + block, nst)) * dt
@@ -445,26 +446,25 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
             states = stored[:len(t)]
             for h, r1, r2, r4, state in zip(hs.tolist(), r_start, r_mid, r_end, states):
                 hh = h / 2.0
-                rhs(r1, x_rows, k_rows[0])
-                mul(K1, hh, out=S)
-                add(X, S, out=S)
-                rhs(r2, s_rows, k_rows[1])
-                mul(K2, hh, out=S)
-                add(X, S, out=S)
-                rhs(r2, s_rows, k_rows[2])
-                mul(K3, h, out=S)
-                add(X, S, out=S)
-                rhs(r4, s_rows, k_rows[3])
+                rhs(r1, x_parts, k_parts[0])
+                mul(K1, hh, Svw)
+                add(Xvw, Svw, Svw)
+                rhs(r2, s_parts, k_parts[1])
+                mul(K2, hh, Svw)
+                add(Xvw, Svw, Svw)
+                rhs(r2, s_parts, k_parts[2])
+                mul(K3, h, Svw)
+                add(Xvw, Svw, Svw)
+                rhs(r4, s_parts, k_parts[3])
                 # X + h/6*(((K1 + 2*K2) + 2*K3) + K4), as the scalar kernel sums
-                mul(K2, 2.0, out=K2)
-                add(K1, K2, out=K1)
-                mul(K3, 2.0, out=K3)
-                add(K1, K3, out=K1)
-                add(K1, K4, out=K1)
-                mul(K1, h / 6.0, out=K1)
-                add(X, K1, out=X)
-                state[...] = X
-            _count_block(states, fire, arm, counts, armed, ok)
+                mul(K23, 2.0, K23)
+                add(K1, K2, K1)
+                add(K1, K3, K1)
+                add(K1, K4, K1)
+                mul(K1, h / 6.0, K1)
+                add(Xvw, K1, Xvw)
+                state[...] = Xvw
+            _count_block(states.reshape(-1, 2, n), fire, arm, counts, armed, ok)
     return counts.reshape(shape), ok.reshape(shape)
 
 

@@ -10,11 +10,13 @@ the observed counts against the arc-based prediction.
 The cells of one call are integrated together in lockstep as one numpy
 ensemble (``_kernels.cosine_ensemble_spikes``), on the time rule of the
 fixed-step simulator (``_kernels.rk4_trajectory``). The ensemble holds every
-cell's (v, w) in one (2, n) array, steps it in buffers allocated once, and
-counts spikes once per block of stored steps; its per-step cost at the few
-cells of an initial-condition grid is set by its numpy calls, not by the
-cells. Its counts equal the scalar cell kernel's, which runs on that
-simulator, cell by cell, and reruns are bit-identical.
+cell's (v, w) in one buffer laid out [r*v | v | w | -beta], so that the two
+rows of the right-hand side share their subtractions, steps it in buffers
+allocated once (45 numpy calls a step), and counts spikes once per block of
+stored steps; its per-step cost at the few cells of an initial-condition
+grid is set by its numpy calls, not by the cells. Its counts equal the
+scalar cell kernel's, which runs on that simulator, cell by cell, and reruns
+are bit-identical.
 """
 from __future__ import annotations
 
@@ -55,6 +57,10 @@ class ExplicitIC:
     state: State
 
 
+def _finite_positive(*xs) -> bool:
+    return all(x > 0.0 and math.isfinite(x) for x in xs)
+
+
 def _require_fixed_step(cfg: IntegratorConfig):
     # sweep cells run on the fixed-step counting kernel only
     if not isinstance(cfg.method, FixedRK4):
@@ -81,10 +87,10 @@ class SweepSpec:
         for rng, name in ((self.kappa_range, "kappa_range"),
                           (self.epsilon_range, "epsilon_range")):
             lo, hi, step = rng
-            if step <= 0.0 or hi < lo or lo <= 0.0:
-                raise DomainError(f"{name} must satisfy 0 < min <= max, step > 0")
-        if self.t_final <= 0.0:
-            raise DomainError("t_final must be > 0")
+            if not (_finite_positive(lo, hi, step) and lo <= hi):
+                raise DomainError(f"{name} must be finite with 0 < min <= max, step > 0")
+        if not _finite_positive(self.t_final):
+            raise DomainError(f"t_final must be finite and > 0, got {self.t_final}")
         _require_fixed_step(self.integrator)
 
 
@@ -118,10 +124,10 @@ class GridSpec:
     integrator: IntegratorConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if self.kappa <= 0.0 or self.epsilon <= 0.0 or self.t_final <= 0.0:
-            raise DomainError("kappa, epsilon, t_final must be > 0")
-        if self.grid_points < 2 or self.extent <= 0.0:
-            raise DomainError("grid_points must be >= 2 and extent > 0")
+        if not _finite_positive(self.kappa, self.epsilon, self.t_final):
+            raise DomainError("kappa, epsilon, t_final must be finite and > 0")
+        if self.grid_points < 2 or not _finite_positive(self.extent):
+            raise DomainError("grid_points must be >= 2 and extent finite and > 0")
         _require_fixed_step(self.integrator)
 
 

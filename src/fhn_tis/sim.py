@@ -128,6 +128,8 @@ def simulate(p: Params, drive: Drive, ic: State, t_final: float,
     size collapses; the dynamics are provably bounded, so divergence always
     means the integrator needs a smaller step or tighter tolerances.
     """
+    if not (math.isfinite(t0) and math.isfinite(t_final)):
+        raise DomainError(f"t0 and t_final must be finite, got {t0} and {t_final}")
     if not (t_final > t0):
         raise DomainError(f"t_final must exceed t0, got {t_final} <= {t0}")
     v, w = float(ic[0]), float(ic[1])

@@ -159,8 +159,8 @@ def escaping_at_c(p: Params, kappa: float, c: float) -> bool:
     _drift_over_pull(p, c), in which case a fold contact at c throws the
     trajectory off the slow manifold (a spike).
     """
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be > 0, got {kappa}")
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise DomainError(f"kappa must be finite and > 0, got {kappa}")
     if not (-1.0 <= c <= 1.0):
         raise DomainError(f"envelope value must lie in [-1, 1], got {c}")
     if c == -1.0 or c == 1.0:
@@ -191,8 +191,8 @@ def kappa_threshold(p: Params, tol: float = 1e-6) -> float:
     refinement. Returns 0.0 (degenerate) if the drift is nonpositive anywhere,
     since then any kappa escapes.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     _require_region(p, "kappa_threshold")
     cs = np.linspace(-1.0, 1.0, KAPPA_SCAN_POINTS)[1:-1]
     g = _drift_over_pull(p, cs)
@@ -239,12 +239,11 @@ def integrate_singular(p: Params, kappa: float, start_phase: float,
     The start must lie on its cubic within ON_CUBIC_TOL and strictly on the
     left branch, clear of the fold.
     """
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be > 0, got {kappa}")
-    if horizon <= 0.0:
-        raise DomainError(f"horizon must be > 0, got {horizon}")
-    if ds <= 0.0 or sample_stride < 1:
-        raise DomainError("ds must be > 0 and sample_stride >= 1")
+    for name, x in (("kappa", kappa), ("horizon", horizon), ("ds", ds)):
+        if not (x > 0.0 and math.isfinite(x)):
+            raise DomainError(f"{name} must be finite and > 0, got {x}")
+    if sample_stride < 1:
+        raise DomainError(f"sample_stride must be >= 1, got {sample_stride}")
     c0 = math.cos(start_phase)
     if abs(start.c - c0) > 1e-9:
         raise InvalidStartError(

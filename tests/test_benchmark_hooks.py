@@ -4,8 +4,12 @@ _kernels.NUMBA_ENABLED, and its tracer replaces module attributes and must put
 them back. A rename that breaks any of these, or a layer that stops calling
 another through the traced name, fails here; so does a change to the sample
 count at index 3 of dp45_trajectory's result, from which the tracer counts
-accepted steps."""
+accepted steps. The benchmark's self-test, which feeds each of its checks a
+deliberately wrong output, must pass as well."""
 import importlib
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fhn_tis as ft
@@ -49,3 +53,13 @@ def test_benchmark_warmup_and_tracer_resolve(monkeypatch):
     assert frozen.classify_region is original
     assert singular.classify_region is original
     assert original.cache_info().currsize > 0
+
+
+def test_benchmark_selftest_refuses_wrong_outputs():
+    # in a fresh interpreter: perfbench/ and tests/ each have an oracles module
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    ran = re.search(r"^Ran (\d+) tests", done.stderr, re.MULTILINE)
+    assert ran and int(ran.group(1)) >= 12, done.stderr
+    assert done.stderr.rstrip().endswith("OK")

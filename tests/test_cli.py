@@ -119,6 +119,26 @@ def test_simulate_rejects_zero_step_settings(flags, key, capsys):
     assert "samples=" not in captured.out
 
 
+@pytest.mark.parametrize("argv, key", [
+    # a NaN step once ended the falling arc at a "fold" and said escape_cycle=no
+    (["singular-check"] + STD + ["--kappa", "2", "--ds", "nan"], "ds"),
+    (["singular-check"] + STD + ["--kappa", "inf"], "kappa"),
+    # a NaN tol once skipped the refinement and printed another kappa*
+    (["kappa-threshold"] + STD + ["--tol", "nan"], "tol"),
+    (["sweep-exp1", "--t-final", "nan"], "t_final"),
+    (["sweep-exp1", "--t-final", "inf"], "t_final"),
+    (["simulate"] + STD + ["--drive", "frozen_constant", "--c", "0.5", "--t-final", "inf"],
+     "t_final"),
+    (["simulate"] + STD + ["--drive", "frozen_constant", "--c", "0.5", "--t-final", "5",
+                           "--t0=-inf"], "t0"),
+])
+def test_non_finite_settings_are_refused(argv, key, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_divergence_exit_code(capsys):
     argv = (["simulate"] + STD
             + ["--drive", "frozen_constant", "--c", "1.0", "--ic", "2", "0",

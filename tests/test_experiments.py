@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02,
                     grid_points=1)
+    # NaN and inf pass a `<= 0.0` test; the specs refuse them
+    grid = dict(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02)
+    for bad in (math.nan, math.inf):
+        for kw in (dict(t_final=bad), dict(kappa_range=(1.0, bad, 1.0)),
+                   dict(kappa_range=(bad, 3.0, 1.0)), dict(epsilon_range=(0.02, 0.04, bad))):
+            with pytest.raises(DomainError):
+                tiny_spec(**kw)
+        for kw in (dict(t_final=bad), dict(extent=bad), dict(kappa=bad), dict(epsilon=bad)):
+            with pytest.raises(DomainError):
+                ft.GridSpec(**{**grid, **kw})
 
 
 def test_specs_reject_adaptive_integrator():

@@ -128,6 +128,33 @@ def test_ensemble_counts_across_block_boundaries(monkeypatch, block):
     assert counts[0] == 1 and not ok[0]
 
 
+def test_ensemble_counts_do_not_depend_on_grouping():
+    # the ensemble's buffers and its block length are sized by the cell
+    # count; per-cell beta, gamma and eps differ, so a block of the state
+    # buffer read at the wrong offset changes some count, and the horizon is
+    # no multiple of dt, so the last step is clipped
+    rng = np.random.default_rng(211)
+    n = 40
+    cells = np.vstack((rng.uniform(0.1, 0.6, (2, n)), rng.uniform(0.5, 0.9, n),
+                       rng.uniform(0.3, 0.8, n), rng.uniform(0.01, 0.2, n),
+                       rng.uniform(0.005, 0.4, n), rng.uniform(-2.0, 2.0, (2, n)),
+                       rng.uniform(-0.6, -0.3, n)))
+
+    def run(part):
+        return fast.cosine_ensemble_spikes(*cells[:, part], 37.123, 0.05, 0.0)
+
+    counts, ok = run(slice(None))
+    assert counts.min() >= 0 and counts.max() > counts.min()
+    for parts in ([slice(i, i + 1) for i in range(n)],
+                  [slice(0, 1), slice(1, 19), slice(19, n)]):
+        groups = [run(part) for part in parts]
+        assert np.concatenate([c for c, _ in groups]).tolist() == counts.tolist()
+        assert np.concatenate([k for _, k in groups]).tolist() == ok.tolist()
+    counts, ok = run(slice(0, 0))
+    assert counts.shape == ok.shape == (0,)
+    assert counts.dtype == np.int64 and ok.dtype == bool
+
+
 def test_count_block_stops_at_first_non_finite_state():
     # a step counts only while every state up to it is finite, even where a
     # state after it is finite again: cell 0 has v = nan at step 1, cell 3

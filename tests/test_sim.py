@@ -31,6 +31,9 @@ def test_simulate_argument_checks():
     with pytest.raises(DomainError):
         ft.simulate(p, ft.FrozenConstant(c=0.0), ft.State(math.nan, 0.0),
                     t_final=1.0)
+    for t0, t_final in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            ft.simulate(p, ft.FrozenConstant(c=0.0), ft.State(0, 0), t_final, t0=t0)
 
 
 def test_equilibrium_is_stationary():

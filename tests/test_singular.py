@@ -134,6 +134,10 @@ def test_escaping_at_c_argument_checks():
         ft.escaping_at_c(p, 2.0, 1.5)
     with pytest.raises(DomainError):
         ft.escaping_at_c(p, 0.0, 0.5)
+    for kappa in (math.nan, math.inf):
+        # a NaN kappa once answered False
+        with pytest.raises(DomainError, match="kappa"):
+            ft.escaping_at_c(p, kappa, 0.5)
 
 
 def test_escaping_at_c_kappa_limits():
@@ -194,6 +198,10 @@ def test_kappa_threshold_requires_region():
         ft.kappa_threshold(std(A=1.0, B=1.0))
     with pytest.raises(DomainError):
         ft.kappa_threshold(std(), tol=0.0)
+    # a NaN tol skipped the refinement and changed kappa* in the 9th digit
+    for tol in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="tol"):
+            ft.kappa_threshold(std(), tol=tol)
 
 
 def test_integrate_singular_start_validation():
@@ -225,6 +233,13 @@ def test_integrate_singular_start_validation():
         ft.integrate_singular(p, 1.0, math.pi, pt, horizon=-1.0)
     with pytest.raises(DomainError):
         ft.integrate_singular(p, 1.0, math.pi, pt, horizon=1.0, ds=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="kappa"):
+            ft.integrate_singular(p, bad, math.pi, pt, horizon=1.0)
+        with pytest.raises(DomainError, match="horizon"):
+            ft.integrate_singular(p, 1.0, math.pi, pt, horizon=bad)
+        with pytest.raises(DomainError, match="ds"):
+            ft.integrate_singular(p, 1.0, math.pi, pt, horizon=1.0, ds=bad)
 
 
 def test_integrate_singular_horizon_terminal():
