@@ -22,6 +22,12 @@ is the scalar kernel's, in its order, and the block count gives each step the
 detector state of a per-step update, so the counts equal cosine_cell_spikes'
 cell by cell. spike_scan makes one pass over the samples as Python floats.
 
+transport_arc carries a slow-limit arc on a fixed s-grid, one RK4 step at a
+time. A step makes four cubic roots (three warm-started Newton roots and the
+closed-form end root, which the next step reuses as its first stage), checks
+each of its five stage roots with one chained comparison, and makes five
+Python-function calls in all.
+
 rk4_trajectory, dp45_trajectory and transport_arc append their samples to
 Python lists and return them as float64 arrays of exactly the samples taken;
 an arc's terminal point is its last sample.
@@ -156,8 +162,25 @@ def _stage_tables(code, par1, par2, cs, cs_dt, A, B, times):
         return (rho - AB * np.cos(par1 * times)).tolist(), zeros, zeros
     if code == DRIVE_FROZEN:
         return np.full_like(times, rho - AB * par1).tolist(), zeros, zeros
-    return ([[rho - AB * _envelope_value(code, par1, cs, cs_dt, t) for t in row]
-             for row in times.tolist()], zeros, zeros)
+    return (rho - AB * _sampled_envelope(cs, cs_dt, times)).tolist(), zeros, zeros
+
+
+def _sampled_envelope(cs, cs_dt, times):
+    """_envelope_value's sampled envelope at an array of times, bit for bit.
+
+    Clamped to cs[0] where t/cs_dt <= 0 and to cs[-1] where it reaches the last
+    sample, and interpolated linearly inside, with the scalar's operations:
+    i = floor(x) equals int(x) for x > 0, and frac = x - i.
+    """
+    cs = np.asarray(cs, dtype=np.float64)
+    last = len(cs) - 1
+    x = times / cs_dt
+    # indices clipped into range; the clamped entries are replaced below
+    i = np.clip(np.floor(x), 0.0, max(last - 1, 0))
+    frac = x - i
+    i = i.astype(np.intp)
+    inner = cs[i] * (1.0 - frac) + cs[np.minimum(i + 1, last)] * frac
+    return np.where(x <= 0.0, cs[0], np.where(x >= last, cs[last], inner))
 
 
 def rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
@@ -496,15 +519,16 @@ _WARM_ITERS = 8
 _WARM_STEP_TOL = 1e-13
 
 
-def _newton_leftmost(p, q, t0):
-    """Newton on t**3 + p*t + q = 0 from t0; returns (certified, t).
+def _warm_root(p, q, t):
+    """leftmost_cubic_root(p, q), by Newton from the guess t where certified.
 
-    certified means the iteration converged to a t < 0 with 3*t**2 + p > 0,
-    that is left of the local maximum at -sqrt(-p/3) (or anywhere if p >= 0).
-    The cubic rises strictly there and has exactly one root, which is
-    therefore the leftmost root.
+    Newton on t**3 + p*t + q = 0 is kept when it converges to a t < 0 with
+    3*t**2 + p > 0, that is left of the local maximum at -sqrt(-p/3) (or
+    anywhere if p >= 0): the cubic rises strictly there and has exactly one
+    root, which is therefore the leftmost root. Otherwise, when it stalls,
+    fails to converge or converges to another root, the closed form
+    leftmost_cubic_root computes the root.
     """
-    t = t0
     for _ in range(_WARM_ITERS):
         tt = t * t
         fp = 3.0 * tt + p
@@ -513,71 +537,58 @@ def _newton_leftmost(p, q, t0):
         step = ((tt + p) * t + q) / fp
         t -= step
         if -_WARM_STEP_TOL < step < _WARM_STEP_TOL:
-            return t < 0.0 and 3.0 * t * t + p > 0.0, t
-    return False, t
-
-
-def _leftmost_root_near(p, q, t0):
-    """leftmost_cubic_root(p, q), by certified Newton from t0 where it converges."""
-    certified, t = _newton_leftmost(p, q, t0)
-    if certified:
-        return t
+            if t < 0.0 and 3.0 * t * t + p > 0.0:
+                return t
+            break
     return leftmost_cubic_root(p, q)
 
 
-def _stage_status(rc, v, tol_denom):
-    """Check of one transport stage with gain rc and recovered v.
-
-    1: v lies on the left branch with rc - v**2 <= -tol_denom; -1: v collapsed
-    onto the origin; 0: the left branch was lost (fold contact).
-    """
-    if not math.isfinite(v):
-        return 0
-    if abs(v) < _ORIGIN_TOL:
-        return -1
-    if v > 0.0 or rc - v * v > -tol_denom:
-        return 0
-    return 1
+def _failed_stage(v, w0, v0, rc0):
+    # _transport_rk4's return for a stage whose root v failed its check:
+    # -1 where v collapsed onto the origin, else 0 (the left branch was lost
+    # at the fold, or v is not finite), with the step's start state
+    return (-1 if abs(v) < _ORIGIN_TOL else 0), w0, v0, rc0
 
 
 def _transport_rk4(rho, AB, beta, gamma, kappa, phi0, s, w, v, rc, h, tol_denom):
     """One RK4 step of dw/ds = v - gamma*w + beta from the root v at (s, w).
 
     rc is the gain at s. Each inner stage recovers its v as the leftmost root
-    of its cubic, warm-started from the stage before; the root at the step's
-    end comes from leftmost_cubic_root. Every stage and that root must pass
-    _stage_status. Returns (status, w_new, v_new, rc_new): the end state with
-    its root and gain, or the first failing status with the start state.
+    of its cubic, warm-started from the stage before (_warm_root); the root
+    at the step's end comes from leftmost_cubic_root. Every stage's v and that
+    root must pass one chained check: finite, at or below -_ORIGIN_TOL, and
+    with gain - v**2 not above -tol_denom (a NaN gain or tolerance passes this
+    last test). Returns (status, w_new, v_new, rc_new): status 1 with the end
+    state, its root and gain; or, at the first failing v, status -1 where
+    |v| < _ORIGIN_TOL (origin collapse) and 0 otherwise (fold contact), with
+    the start state.
     """
-    st = _stage_status(rc, v, tol_denom)
-    if st != 1:
-        return st, w, v, rc
+    if not (-math.inf < v <= -_ORIGIN_TOL and not rc - v * v > -tol_denom):
+        return _failed_stage(v, w, v, rc)
     k1 = v - gamma * w + beta
     rc_mid = rho - AB * math.cos(phi0 + kappa * (s + h / 2.0))
+    p = -3.0 * rc_mid
     w2 = w + h / 2.0 * k1
-    v2 = _leftmost_root_near(-3.0 * rc_mid, 3.0 * w2, v)
-    st = _stage_status(rc_mid, v2, tol_denom)
-    if st != 1:
-        return st, w, v, rc
+    v2 = _warm_root(p, 3.0 * w2, v)
+    if not (-math.inf < v2 <= -_ORIGIN_TOL and not rc_mid - v2 * v2 > -tol_denom):
+        return _failed_stage(v2, w, v, rc)
     k2 = v2 - gamma * w2 + beta
     w3 = w + h / 2.0 * k2
-    v3 = _leftmost_root_near(-3.0 * rc_mid, 3.0 * w3, v2)
-    st = _stage_status(rc_mid, v3, tol_denom)
-    if st != 1:
-        return st, w, v, rc
+    v3 = _warm_root(p, 3.0 * w3, v2)
+    if not (-math.inf < v3 <= -_ORIGIN_TOL and not rc_mid - v3 * v3 > -tol_denom):
+        return _failed_stage(v3, w, v, rc)
     k3 = v3 - gamma * w3 + beta
     rc_end = rho - AB * math.cos(phi0 + kappa * (s + h))
+    p = -3.0 * rc_end
     w4 = w + h * k3
-    v4 = _leftmost_root_near(-3.0 * rc_end, 3.0 * w4, v3)
-    st = _stage_status(rc_end, v4, tol_denom)
-    if st != 1:
-        return st, w, v, rc
+    v4 = _warm_root(p, 3.0 * w4, v3)
+    if not (-math.inf < v4 <= -_ORIGIN_TOL and not rc_end - v4 * v4 > -tol_denom):
+        return _failed_stage(v4, w, v, rc)
     k4 = v4 - gamma * w4 + beta
     w_new = w + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    v_new = leftmost_cubic_root(-3.0 * rc_end, 3.0 * w_new)
-    st = _stage_status(rc_end, v_new, tol_denom)
-    if st != 1:
-        return st, w, v, rc
+    v_new = leftmost_cubic_root(p, 3.0 * w_new)
+    if not (-math.inf < v_new <= -_ORIGIN_TOL and not rc_end - v_new * v_new > -tol_denom):
+        return _failed_stage(v_new, w, v, rc)
     return 1, w_new, v_new, rc_end
 
 
@@ -591,13 +602,16 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
     the step length), completion of a rising half-cycle at envelope value +1,
     origin collapse, or the horizon.
 
-    Each step makes four cubic roots. The three inner stages are Newton
-    warm-started from the stage before, and a root is kept only when
-    _newton_leftmost certifies it as the leftmost one; otherwise
+    Each step (_transport_rk4) makes four cubic roots in five Python-function
+    calls: the step, three warm roots and one closed-form root. The three
+    inner stages are Newton warm-started from the stage before, and a root is
+    kept only when _warm_root certifies it as the leftmost one; otherwise
     leftmost_cubic_root computes it. The root at the step's end is always
     leftmost_cubic_root, so a step depends on (s, w) alone and arcs that meet
     on the grid stay together; it is reused as the next step's first stage
-    and as the stored sample's v.
+    and as the stored sample's v. Each stage's check is one chained
+    comparison; tests/oracles.py keeps the stage-wise step as the reference
+    the arcs are compared with bit for bit.
 
     Returns (s, v, w, c, term_code): float64 arrays of the samples (the
     start, every stride-th grid point, each leg boundary, where the envelope

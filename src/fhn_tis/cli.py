@@ -93,7 +93,7 @@ def _build_integrator(args, cfg) -> IntegratorConfig:
                               max_dt=d["max_dt"])
     else:
         raise ConfigError(f"unknown integrator method: {d['method']!r}", key="method")
-    return IntegratorConfig(method=method, sample_stride=int(d["stride"]))
+    return IntegratorConfig(method=method, sample_stride=d["stride"])
 
 
 def _yesno(flag: bool) -> str:

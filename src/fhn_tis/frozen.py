@@ -131,10 +131,23 @@ def _unique_everywhere(p: Params) -> bool:
     return (p.A - p.B) ** 2 > rhs
 
 
-def _band(p: Params, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # gains r(c) and leftmost equilibria v_e(c) over an array of envelope values
+# a verdict chain reads the band of one point, and a band of the default 1001
+# values holds 24 kB, so a few entries serve and memory stays flat
+@functools.lru_cache(maxsize=8)
+def _band(p: Params, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform grid c of n envelope values on [-1, 1], the gains r(c) and
+    the leftmost equilibria v_e(c), as read-only arrays.
+
+    Memoised on the Params and n, so classify_region's grid test and
+    frozen_table share one band of n scalar cubic roots; both pass n by
+    position, which keeps them on one cache entry.
+    """
+    cs = np.linspace(-1.0, 1.0, n)
     r = _gain(p, cs)
-    return r, np.array([_v_e(p, x) for x in r.tolist()])
+    v_e = np.array([_v_e(p, x) for x in r.tolist()])
+    for a in (cs, r, v_e):
+        a.flags.writeable = False
+    return cs, r, v_e
 
 
 def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
@@ -164,8 +177,7 @@ def _classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
                       < eq1.v_e ** 2 + min(p.epsilon * p.gamma, 1.0 / p.gamma))
     left_of_folds = False
     if unique and p.folds_everywhere:
-        cs = np.linspace(-1.0, 1.0, c_grid_size)
-        r, v_e = _band(p, cs)
+        cs, r, v_e = _band(p, c_grid_size)
         gaps = -np.sqrt(r) - v_e
         h = cs[1] - cs[0]
         slope = float(np.max(np.abs(np.diff(gaps)))) / h
@@ -217,19 +229,20 @@ def piecewise_spiking_condition(p: Params) -> bool:
 def frozen_table(p: Params, c_grid_size: int = 1001) -> dict:
     """Per-c table of gains, folds, equilibria, and flags for CSV export.
 
-    Fold columns are NaN where the fold is undefined (gain <= 0).
+    Fold columns are NaN where the fold is undefined (gain <= 0). The c, r
+    and v_e columns are copies of the memoised band that classify_region's
+    grid test also reads, so a caller may write to the table.
     """
     if c_grid_size < 2:
         raise DomainError(f"c_grid_size must be at least 2, got {c_grid_size}")
-    cs = np.linspace(-1.0, 1.0, c_grid_size)
-    r, v_e = _band(p, cs)
+    cs, r, v_e = _band(p, c_grid_size)
     r_fold = np.where(r > 0.0, r, np.nan)
     return {
-        "c": cs,
-        "r": r,
+        "c": cs.copy(),
+        "r": r.copy(),
         "v_m": -np.sqrt(r_fold),
         "w_m": -(2.0 / 3.0) * r_fold ** 1.5,
-        "v_e": v_e,
+        "v_e": v_e.copy(),
         "w_e": (v_e + p.beta) / p.gamma,
         "unique": _unique_at(p, r),
         "les": _les_at(p, r, v_e),

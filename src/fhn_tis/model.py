@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -29,6 +30,16 @@ def _positive(name: str, value) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ConfigError(f"{name} must be finite and > 0, got {x}", key=name)
     return x
+
+
+def _check_stride(name: str, value) -> None:
+    """Refuse a sample stride that is not an integer of at least 1.
+
+    A float stride would sample wherever step % stride == 0 (2.5: every 5th
+    step), so only integers, numpy's included, are taken.
+    """
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,7 +18,7 @@ from . import _kernels
 from .errors import (DivergenceError, DomainError, EmptyTrajectoryError)
 from .frozen import _gain, equilibrium
 from .model import (AveragedCosine, CustomSampled, Drive, FrozenConstant, Params,
-                    RawInterference, SignCosine, State, envelope)
+                    RawInterference, SignCosine, State, _check_stride, envelope)
 
 # carrier resolution: at least this many steps per fast period of the raw drive
 _RAW_STEPS_PER_PERIOD = 20
@@ -52,8 +52,7 @@ class IntegratorConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
-        if self.sample_stride < 1:
-            raise DomainError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        _check_stride("sample_stride", self.sample_stride)
 
 
 DEFAULT_CONFIG = IntegratorConfig()

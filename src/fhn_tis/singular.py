@@ -21,7 +21,7 @@ from . import _kernels
 from .errors import (BandEdgeError, DomainError, InvalidStartError, NearFoldError,
                      RegionPreconditionError, UndefinedCoordinateError)
 from .frozen import _gain, classify_region, equilibrium, fold_point
-from .model import Params
+from .model import Params, _check_stride
 
 # fold-event tolerance on the denominator r(c) - v**2
 TOL_DENOM = 1e-6
@@ -242,8 +242,7 @@ def integrate_singular(p: Params, kappa: float, start_phase: float,
     for name, x in (("kappa", kappa), ("horizon", horizon), ("ds", ds)):
         if not (x > 0.0 and math.isfinite(x)):
             raise DomainError(f"{name} must be finite and > 0, got {x}")
-    if sample_stride < 1:
-        raise DomainError(f"sample_stride must be >= 1, got {sample_stride}")
+    _check_stride("sample_stride", sample_stride)
     c0 = math.cos(start_phase)
     if abs(start.c - c0) > 1e-9:
         raise InvalidStartError(

@@ -4,13 +4,17 @@ Everything here is deliberately written with a different algorithm than the
 package: bisection instead of closed-form root selection, sign-change scans
 instead of discriminants, dense grid scans instead of golden-section search,
 scipy's adaptive DOP853 with event location instead of fixed-step RK4 arcs.
-The fixed-step reference stepper is the exception: it keeps the kernel's
-arithmetic order, so the two can be compared bit for bit, but evaluates its
-own right-hand side at every stage.
+The fixed-step reference steppers are the exception: they keep the kernel's
+arithmetic order, so the two can be compared bit for bit, but evaluate their
+own right-hand side at every stage. So is the stage-wise arc-transport step,
+which checks each stage in its own call and takes its roots from the
+package's closed-form cubic root.
 """
 import math
 
 import numpy as np
+
+from fhn_tis._kernels import leftmost_cubic_root
 
 
 def cubic(t, p, q):
@@ -305,3 +309,94 @@ def reference_dp45(kind, args, A, B, beta, gamma, eps, v0, w0, t0, t_final,
             ok = 2
             break
     return np.array(ts), np.array(vs), np.array(ws), len(ts), ok
+
+
+# the arc transport's origin tolerance and warm-root settings (_kernels)
+_ORIGIN_TOL = 1e-9
+_WARM_ITERS = 8
+_WARM_STEP_TOL = 1e-13
+
+
+def newton_leftmost(p, q, t0):
+    """Newton on t**3 + p*t + q = 0 from t0; returns (certified, t).
+
+    certified means the iteration converged to a t < 0 with 3*t**2 + p > 0,
+    that is left of the local maximum at -sqrt(-p/3) (or anywhere if p >= 0).
+    The cubic rises strictly there and has exactly one root, which is
+    therefore the leftmost root.
+    """
+    t = t0
+    for _ in range(_WARM_ITERS):
+        tt = t * t
+        fp = 3.0 * tt + p
+        if fp == 0.0:
+            break
+        step = ((tt + p) * t + q) / fp
+        t -= step
+        if -_WARM_STEP_TOL < step < _WARM_STEP_TOL:
+            return t < 0.0 and 3.0 * t * t + p > 0.0, t
+    return False, t
+
+
+def leftmost_root_near(p, q, t0):
+    """leftmost_cubic_root(p, q), by certified Newton from t0 where it converges."""
+    certified, t = newton_leftmost(p, q, t0)
+    if certified:
+        return t
+    return leftmost_cubic_root(p, q)
+
+
+def stage_status(rc, v, tol_denom):
+    """Check of one transport stage with gain rc and recovered v.
+
+    1: v lies on the left branch with rc - v**2 <= -tol_denom; -1: v collapsed
+    onto the origin; 0: the left branch was lost (fold contact).
+    """
+    if not math.isfinite(v):
+        return 0
+    if abs(v) < _ORIGIN_TOL:
+        return -1
+    if v > 0.0 or rc - v * v > -tol_denom:
+        return 0
+    return 1
+
+
+def reference_transport_rk4(rho, AB, beta, gamma, kappa, phi0, s, w, v, rc, h, tol_denom):
+    """One arc-transport RK4 step, each stage checked by its own stage_status call.
+
+    Takes the arguments of _kernels._transport_rk4 and returns what it
+    returns: (status, w_new, v_new, rc_new), the end state with its root and
+    gain, or the first failing status with the start state. The inner stages'
+    roots are warm-started from the stage before (leftmost_root_near), the
+    end root is leftmost_cubic_root.
+    """
+    st = stage_status(rc, v, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    k1 = v - gamma * w + beta
+    rc_mid = rho - AB * math.cos(phi0 + kappa * (s + h / 2.0))
+    w2 = w + h / 2.0 * k1
+    v2 = leftmost_root_near(-3.0 * rc_mid, 3.0 * w2, v)
+    st = stage_status(rc_mid, v2, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    k2 = v2 - gamma * w2 + beta
+    w3 = w + h / 2.0 * k2
+    v3 = leftmost_root_near(-3.0 * rc_mid, 3.0 * w3, v2)
+    st = stage_status(rc_mid, v3, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    k3 = v3 - gamma * w3 + beta
+    rc_end = rho - AB * math.cos(phi0 + kappa * (s + h))
+    w4 = w + h * k3
+    v4 = leftmost_root_near(-3.0 * rc_end, 3.0 * w4, v3)
+    st = stage_status(rc_end, v4, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    k4 = v4 - gamma * w4 + beta
+    w_new = w + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    v_new = leftmost_cubic_root(-3.0 * rc_end, 3.0 * w_new)
+    st = stage_status(rc_end, v_new, tol_denom)
+    if st != 1:
+        return st, w, v, rc
+    return 1, w_new, v_new, rc_end

@@ -164,6 +164,23 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert "A" in capsys.readouterr().err
 
 
+def test_config_refuses_a_stride_that_is_no_integer(tmp_path, capsys):
+    # the file's stride once went through int(), so 2.5 ran as 2
+    cfg = tmp_path / "stride.json"
+    cfg.write_text(json.dumps({
+        "params": {"A": 0.3, "B": 0.3, "beta": 0.8, "gamma": 0.5, "epsilon": 0.1},
+        "drive": {"kind": "frozen_constant", "c": 0.5},
+        "integrator": {"method": "fixed", "dt": 0.05, "stride": 2.5},
+    }))
+    assert main(["simulate", "--config", str(cfg), "--t-final", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "sample_stride" in captured.err and "2.5" in captured.err
+    assert "samples=" not in captured.out
+    # the flag is an integer and overrides the file
+    assert main(["simulate", "--config", str(cfg), "--t-final", "5", "--stride", "2"]) == 0
+    assert "samples=51" in capsys.readouterr().out
+
+
 def test_config_drive_keys_take_flags_one_by_one(tmp_path, capsys):
     cfg = tmp_path / "drive.json"
     cfg.write_text(json.dumps({

@@ -207,6 +207,32 @@ def test_classify_region_is_one_cache_entry_however_called():
     assert info.hits >= 3
 
 
+def test_classify_region_and_frozen_table_share_one_band():
+    # one band of scalar cubic roots per (Params, grid size): the grid test
+    # computes it and the table copies it; the shared arrays are read-only,
+    # and writing to the table leaves them as they are
+    from fhn_tis import frozen
+    p = std(A=0.27, B=0.33)
+    ft.classify_region.cache_clear()
+    frozen._band.cache_clear()
+    assert ft.classify_region(p).equilibria_left_of_folds
+    tab = ft.frozen_table(p)
+    info = frozen._band.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    frozen._band.cache_clear()
+    fresh = ft.frozen_table(p)
+    assert frozen._band.cache_info().misses == 1
+    for key, col in fresh.items():
+        assert col.tobytes() == tab[key].tobytes(), key
+    band = frozen._band(p, 1001)
+    for a in band:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    for key, a in zip(("c", "r", "v_e"), band):
+        tab[key][0] = 7.0
+        assert a[0] == fresh[key][0] != 7.0
+
+
 def test_frozen_table_values_and_nan_folds():
     p = std()
     tab = ft.frozen_table(p, c_grid_size=101)

@@ -1,9 +1,10 @@
 """Kernel paths that must compute the same numbers: the closed-form cubic
 root against bisection, the numpy ensemble cell counter against the scalar
 one, the warm-started cubic root of the arc transport against the
-closed-form one, the table-driven RK4 stepper against a stage-wise
-reference, the DP45 stepper against a seven-stage one, and the spike scan
-against alternating searches."""
+closed-form one, the flat arc-transport step against a stage-wise reference,
+the table-driven RK4 stepper against a stage-wise reference, the DP45
+stepper against a seven-stage one, and the spike scan against alternating
+searches."""
 import math
 
 import numpy as np
@@ -34,28 +35,100 @@ def test_cubic_root_parity_and_correctness():
 def test_warm_root_certifies_only_the_leftmost_root(rc, v, offset, tol):
     # v is the leftmost root of v**3 - 3*rc*v + 3*w at least 1e-3 in r - v**2
     # left of the fold, where the root is well conditioned; the guess may lie
-    # on either side of the local maximum
+    # on either side of the local maximum, and whether Newton's root is kept
+    # or the closed form replaces it, the result is the leftmost root
     gap = v * v - rc
     assume(gap >= 1e-3 and abs(gap - tol) > 1e-9)
     p, q = -3.0 * rc, 3.0 * (rc * v - v ** 3 / 3.0)
-    certified, t = fast._newton_leftmost(p, q, v + offset)
-    if not certified:
-        return
+    t = fast._warm_root(p, q, v + offset)
     assert abs(t - oracles.bisect_leftmost_root(p, q)) <= 1e-12
     full = fast.leftmost_cubic_root(p, q)
-    assert fast._stage_status(rc, t, tol) == fast._stage_status(rc, full, tol)
+    assert oracles.stage_status(rc, t, tol) == oracles.stage_status(rc, full, tol)
 
 
-def test_warm_root_rejects_other_roots():
+def test_warm_root_rejects_other_roots(monkeypatch):
     # t**3 - 3*t has roots -sqrt(3), 0 and sqrt(3); Newton from 0.1 converges
-    # to the middle root and from 2 to the right one, neither certified
-    for guess, root in ((0.1, 0.0), (2.0, math.sqrt(3.0))):
-        certified, t = fast._newton_leftmost(-3.0, 0.0, guess)
-        assert not certified
-        assert t == pytest.approx(root, abs=1e-12)
-    certified, t = fast._newton_leftmost(-3.0, 0.0, -1.7)
-    assert certified
+    # to the middle root and from 2 to the right one, so neither is kept and
+    # the closed form gives the leftmost; from -1.7 Newton's root is kept
+    closed_form = fast.leftmost_cubic_root
+    closed = []
+
+    def counted(p, q):
+        closed.append((p, q))
+        return closed_form(p, q)
+
+    monkeypatch.setattr(fast, "leftmost_cubic_root", counted)
+    for guess in (0.1, 2.0):
+        t = fast._warm_root(-3.0, 0.0, guess)
+        assert t == pytest.approx(-math.sqrt(3.0), abs=1e-12)
+        assert closed.pop() == (-3.0, 0.0) and not closed
+        assert oracles.newton_leftmost(-3.0, 0.0, guess)[0] is False
+    t = fast._warm_root(-3.0, 0.0, -1.7)
+    assert not closed
     assert t == pytest.approx(-math.sqrt(3.0), abs=1e-15)
+
+
+def _arc_bits(arc):
+    s, v, w, c, code = arc
+    assert len(s) == len(v) == len(w) == len(c)
+    return [a.view(np.int64).tolist() for a in (s, v, w, c)], code
+
+
+def _seeded_arcs(seed, n):
+    # transport_arc arguments: parameters from the analysis box, a start on
+    # the left branch from just off the fold to well inside it at a phase
+    # drawn from [0, 2*pi) (never a leg boundary), and a horizon of at most
+    # 1500 steps, so arcs end at the fold, at the envelope top and at the
+    # horizon, many after crossing a leg boundary at envelope value -1
+    rng = np.random.default_rng(seed)
+    arcs = []
+    while len(arcs) < n:
+        A, B, beta, gamma, kappa, phi0 = (float(x) for x in rng.uniform(
+            (0.05, 0.05, 0.1, 0.2, 0.3, 0.0), (0.7, 0.7, 1.5, 2.0, 5.0, 2.0 * math.pi)))
+        r0 = 1.0 - A * A / 2.0 - B * B / 2.0 - A * B * math.cos(phi0)
+        if r0 <= 0.05:
+            continue
+        v0 = -math.sqrt(r0) * (1.0 + float(rng.uniform(0.02, 1.0)) ** 2)
+        ds = float(rng.choice((5e-4, 2e-3, 1e-2)))
+        horizon = float(rng.uniform(0.1, 1.0)) * 1500 * ds
+        arcs.append((A, B, beta, gamma, kappa, phi0, r0 * v0 - v0 ** 3 / 3.0,
+                     horizon, ds, 1e-6, int(rng.integers(1, 12))))
+    return arcs
+
+
+def test_transport_arc_matches_stagewise_reference(monkeypatch):
+    # the flat step (chained stage checks, _warm_root, one p per gain) must
+    # give every arc of the stage-wise reference step bit for bit: samples,
+    # bisected fold landings and terminal codes
+    arcs = _seeded_arcs(113, 360)
+    got = [fast.transport_arc(*a) for a in arcs]
+    monkeypatch.setattr(fast, "_transport_rk4", oracles.reference_transport_rk4)
+    for a, arc in zip(arcs, got):
+        assert _arc_bits(arc) == _arc_bits(fast.transport_arc(*a)), a
+    codes = [arc[4] for arc in got]
+    for term in (fast.TERM_FOLD, fast.TERM_TOP, fast.TERM_HORIZON):
+        assert codes.count(term) >= 50, (term, codes.count(term))
+    assert {a[8] for a in arcs} == {5e-4, 2e-3, 1e-2}
+    assert {a[10] for a in arcs} == set(range(1, 12))
+    # arcs that step on past a leg boundary, sampled at envelope value -1
+    assert sum(-1.0 in arc[3][1:-1] for arc in got) >= 50
+
+
+def test_transport_step_statuses_match_reference():
+    # the failing status is worked out only when a check fails: -1 where the
+    # root collapsed onto the origin, 0 for a lost branch or a non-finite
+    # root; a NaN gain or tolerance passes the gain test, as in the reference
+    inf, nan = math.inf, math.nan
+    roots = (-inf, -2.0, -1e-9, -5e-10, -0.0, 0.0, 5e-10, 1e-3, 2.0, inf, nan)
+    for v in roots:
+        for rc in (0.5, -0.5, 3.99, nan):
+            for tol in (1e-6, nan):
+                args = (0.91, 0.09, 0.8, 0.5, 0.7, 0.3, 0.2, 1.3, v, rc, 1e-3, tol)
+                got = fast._transport_rk4(*args)
+                ref = oracles.reference_transport_rk4(*args)
+                assert repr(got) == repr(ref), (v, rc, tol)
+    assert fast._transport_rk4(0.91, 0.09, 0.8, 0.5, 0.7, 0.3, 0.2, 1.3, -5e-10,
+                               0.5, 1e-3, 1e-6)[0] == -1
 
 
 def test_ensemble_matches_scalar_cell_kernel():
@@ -190,38 +263,44 @@ def test_rk4_trajectory_matches_stagewise_reference():
     # evaluates the right-hand side at every stage
     rng = np.random.default_rng(83)
     values = rng.uniform(-1.0, 1.0, 9).tolist()
-    drives = {"frozen": (fast.DRIVE_FROZEN, 0.4, 0.0, (), 1.0, (0.4,)),
-              "cosine": (fast.DRIVE_COSINE, 0.07, 0.0, (), 1.0, (0.07,)),
-              "raw": (fast.DRIVE_RAW, 6.0, 6.07, (), 1.0, (6.0, 6.07)),
+    # (kind, code, par1, par2, cs, cs_dt, reference args)
+    drives = [("frozen", fast.DRIVE_FROZEN, 0.4, 0.0, (), 1.0, (0.4,)),
+              ("cosine", fast.DRIVE_COSINE, 0.07, 0.0, (), 1.0, (0.07,)),
+              ("raw", fast.DRIVE_RAW, 6.0, 6.07, (), 1.0, (6.0, 6.07)),
               # samples cover [0, 4]: every run below also steps where the
               # envelope clamps to the first or last value
-              "custom": (fast.DRIVE_CUSTOM, 0.0, 0.0, values, 0.5, (values, 0.5))}
+              ("custom", fast.DRIVE_CUSTOM, 0.0, 0.0, values, 0.5, (values, 0.5)),
+              # one sample: the envelope is that value at every time
+              ("custom", fast.DRIVE_CUSTOM, 0.0, 0.0, [0.3], 0.5, ([0.3], 0.5))]
     # (v0, w0, t0, t_final, dt, stride); the last step of the second and the
     # third run is clipped, and the third run takes 3 blocks of steps, so its
-    # clipped step is the last of a block
+    # clipped step is the last of a block; every stage time of the fourth run
+    # is a multiple of 1/16, so the sampled envelopes are read at t = 0, at
+    # t <= 0, exactly on samples (the last one included) and past the end
     steps = 3 * fast._RK4_BLOCK
     runs = [(-1.0, -0.5, 0.0, 9.0, 0.01, 1),
             (0.7, 0.2, -1.3, 5.123, 0.013, 3),
-            (1.9, -1.1, 2.5, 2.5 + (steps - 0.5) * 0.01, 0.01, 7)]
+            (1.9, -1.1, 2.5, 2.5 + (steps - 0.5) * 0.01, 0.01, 7),
+            (0.3, -0.4, -0.5, 5.0, 0.125, 2)]
     assert math.ceil((runs[2][3] - 2.5) / 0.01 - 1e-12) == steps
-    for name, (code, par1, par2, cs, cs_dt, args) in drives.items():
+    for kind, code, par1, par2, cs, cs_dt, args in drives:
         A, B, beta, gamma, eps = (float(x) for x in rng.uniform((0.1, 0.1, 0.5, 0.3, 0.02),
                                                                  (0.6, 0.6, 0.9, 0.8, 0.2)))
         for v0, w0, t0, t_final, dt, stride in runs:
             got = fast.rk4_trajectory(code, par1, par2, cs, cs_dt, A, B, beta, gamma, eps,
                                       v0, w0, t0, t_final, dt, stride)
-            ref = oracles.reference_rk4(name, args, A, B, beta, gamma, eps,
+            ref = oracles.reference_rk4(kind, args, A, B, beta, gamma, eps,
                                         v0, w0, t0, t_final, dt, stride)
-            assert _rk4_bits(got) == _rk4_bits(ref), (name, t0, t_final, stride)
+            assert _rk4_bits(got) == _rk4_bits(ref), (kind, cs, t0, t_final, stride)
             assert got[0][-1] == t_final
     # a diverging start stops both at the same sample with ok = 0
-    for name, (code, par1, par2, cs, cs_dt, args) in drives.items():
+    for kind, code, par1, par2, cs, cs_dt, args in drives:
         got = fast.rk4_trajectory(code, par1, par2, cs, cs_dt, 0.3, 0.3, 0.8, 0.5, 0.1,
                                   40.0, 0.0, 0.0, 20.0, 0.5, 1)
-        ref = oracles.reference_rk4(name, args, 0.3, 0.3, 0.8, 0.5, 0.1,
+        ref = oracles.reference_rk4(kind, args, 0.3, 0.3, 0.8, 0.5, 0.1,
                                     40.0, 0.0, 0.0, 20.0, 0.5, 1)
         assert got[4] == 0
-        assert _rk4_bits(got) == _rk4_bits(ref), name
+        assert _rk4_bits(got) == _rk4_bits(ref), (kind, cs)
 
 
 def test_dp45_trajectory_matches_seven_stage_reference(monkeypatch):

@@ -36,6 +36,15 @@ def test_simulate_argument_checks():
             ft.simulate(p, ft.FrozenConstant(c=0.0), ft.State(0, 0), t_final, t0=t0)
 
 
+def test_integrator_config_refuses_a_stride_that_is_no_integer():
+    # a stride of 2.5 once sampled where step % 2.5 == 0, every 5th step
+    for stride in (2.5, 2.0, "3", 0, -1):
+        with pytest.raises(DomainError, match="sample_stride"):
+            ft.IntegratorConfig(sample_stride=stride)
+    for stride in (1, 7, np.int64(3)):
+        assert ft.IntegratorConfig(sample_stride=stride).sample_stride == stride
+
+
 def test_equilibrium_is_stationary():
     # negligible amplitudes: the rest point of the undriven cubic should not move
     p = std(A=1e-7, B=1e-7)

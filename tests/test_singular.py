@@ -240,6 +240,10 @@ def test_integrate_singular_start_validation():
             ft.integrate_singular(p, 1.0, math.pi, pt, horizon=bad)
         with pytest.raises(DomainError, match="ds"):
             ft.integrate_singular(p, 1.0, math.pi, pt, horizon=1.0, ds=bad)
+    # a stride of 2.5 would sample every 5th step
+    for bad in (0, 2.5):
+        with pytest.raises(DomainError, match="sample_stride"):
+            ft.integrate_singular(p, 1.0, math.pi, pt, horizon=1.0, sample_stride=bad)
 
 
 def test_integrate_singular_horizon_terminal():
