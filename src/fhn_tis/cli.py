@@ -14,22 +14,23 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DivergenceError, DomainError, RegionPreconditionError
 from .model import Params, State, drive_from_dict, params_from_dict
-from .frozen import (classify_region, equilibrium, frozen_table,
+from .frozen import (_C_GRID_SIZE, classify_region, equilibrium, frozen_table,
                      no_spiking_condition, piecewise_spiking_condition)
-from .singular import (CubicPoint, escape_cycle_check, integrate_singular,
-                       kappa_threshold, predicts_no_tonic)
-from .sim import (AdaptiveRK45, FixedRK4, IntegratorConfig, count_spikes, simulate)
-from .errors import RegionPreconditionError
+from .singular import (DEFAULT_DS, _KAPPA_TOL, CubicPoint, escape_cycle_check,
+                       integrate_singular, kappa_threshold, predicts_no_tonic)
+from .sim import (DEFAULT_CONFIG, _FIRE_LEVEL, AdaptiveRK45, FixedRK4, IntegratorConfig,
+                  _is_tonic, count_spikes, simulate)
 from .experiments import (_write_csv, desk_grid_specs, desk_sweep_spec, paper_grid_specs,
                           paper_sweep_spec, run_experiment1, run_experiment2,
                           save_grid_results, save_sweep_results)
 
 _PARAM_FLAGS = ("A", "B", "beta", "gamma", "epsilon")
 _DRIVE_FLAGS = ("eta", "c", "omega1", "omega2")
-_INTEGRATOR_DEFAULTS = {"method": "fixed", "dt": 0.01, "rel_tol": 1e-8, "abs_tol": 1e-8,
-                        "max_dt": 1.0, "stride": 10}
+_INTEGRATOR_DEFAULTS = {"method": "fixed", "dt": DEFAULT_CONFIG.method.dt,
+                        "stride": DEFAULT_CONFIG.sample_stride,
+                        **dataclasses.asdict(AdaptiveRK45())}
 
 
 def _load_config(path):
@@ -205,7 +206,7 @@ def _cmd_sweep_exp1(args) -> int:
         spec = dataclasses.replace(spec, t_final=args.t_final)
     results = run_experiment1(spec)
     for res in results:
-        frac = float((res.counts >= 2).mean())
+        frac = float(_is_tonic(res.counts).mean())
         print(f"panel A={res.A!r} B={res.B!r}: kappa_star={res.kappa_star!r} "
               f"tonic_fraction={frac!r} "
               f"wall_s={res.manifest['wall_time_s']:.1f}")
@@ -219,7 +220,7 @@ def _cmd_grid_exp2(args) -> int:
     results = run_experiment2(specs)
     for res in results:
         gs = res.settings
-        tonic_frac = float((res.counts >= 2).mean())
+        tonic_frac = float(_is_tonic(res.counts).mean())
         print(f"grid A={gs.A!r} B={gs.B!r} kappa={gs.kappa!r} "
               f"epsilon={gs.epsilon!r}: prediction={res.prediction.value} "
               f"tonic_fraction={tonic_frac!r} max_count={int(res.counts.max())}")
@@ -241,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify",
                         help="evaluate region membership and spiking conditions")
     _add_param_flags(sp)
-    sp.add_argument("--c-grid-size", type=int, default=1001,
+    sp.add_argument("--c-grid-size", type=int, default=_C_GRID_SIZE,
                     help="points of the envelope-value grid on which "
                          "eq_left_of_folds is checked, and the rows of --table "
-                         "(default 1001)")
+                         "(default %(default)s)")
     sp.add_argument("--table", metavar="CSV",
                     help="also write a per-c table (c, r, v_m, w_m, v_e, w_e, "
                          "unique, les)")
@@ -270,16 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="start time in fast time units (default 0)")
     sp.add_argument("--method", choices=["fixed", "adaptive"],
                     help="integrator: fixed RK4 or adaptive RK45 (default fixed)")
-    sp.add_argument("--dt", type=float, help="fixed step in time units (default 0.01)")
+    sp.add_argument("--dt", type=float, help="fixed step in time units "
+                    f"(default {_INTEGRATOR_DEFAULTS['dt']})")
     sp.add_argument("--rel-tol", type=float, help="adaptive relative tolerance")
     sp.add_argument("--abs-tol", type=float, help="adaptive absolute tolerance")
     sp.add_argument("--max-dt", type=float, help="adaptive step cap in time units")
-    sp.add_argument("--stride", type=int, help="record every Nth step (default 10)")
+    sp.add_argument("--stride", type=int, help="record every Nth step "
+                    f"(default {_INTEGRATOR_DEFAULTS['stride']})")
     sp.add_argument("--arm-level", type=float,
                     help="re-arm threshold for spike detection "
                          "(default v_e(-1)/2, dimensionless)")
-    sp.add_argument("--fire-level", type=float, default=0.0,
-                    help="spike threshold on v (default 0)")
+    sp.add_argument("--fire-level", type=float, default=_FIRE_LEVEL,
+                    help="spike threshold on v (default %(default)s)")
     sp.add_argument("--out-csv", metavar="CSV", help="write trajectory t,v,w")
     sp.add_argument("--decimate", type=int, default=1,
                     help="keep every Nth sample in the CSV (default 1)")
@@ -292,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--kappa", type=float, required=True,
                     help="beat-to-timescale ratio (> 0, dimensionless)")
-    sp.add_argument("--ds", type=float, default=5e-4,
-                    help="slow-time integration step (default 5e-4)")
+    sp.add_argument("--ds", type=float, default=DEFAULT_DS,
+                    help="slow-time integration step (default %(default)s)")
     sp.add_argument("--dump-arcs", metavar="DIR",
                     help="write arc CSVs (s, v, w, c) to this directory")
     sp.set_defaults(func=_cmd_singular_check)
@@ -301,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("kappa-threshold",
                         help="critical kappa where an escape window opens")
     _add_param_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-6,
-                    help="refinement tolerance on kappa (default 1e-6)")
+    sp.add_argument("--tol", type=float, default=_KAPPA_TOL,
+                    help="refinement tolerance on kappa (default %(default)s)")
     sp.set_defaults(func=_cmd_kappa_threshold)
 
     sp = sub.add_parser("sweep-exp1",

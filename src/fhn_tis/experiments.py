@@ -34,8 +34,9 @@ from . import _kernels
 from ._version import __version__
 from .errors import DomainError, RegionPreconditionError
 from .frozen import classify_region, equilibrium
-from .model import Params, State
-from .sim import DEFAULT_CONFIG, FixedRK4, IntegratorConfig, default_arm_level
+from .model import Params, State, _check_int
+from .sim import (DEFAULT_CONFIG, _FIRE_LEVEL, FixedRK4, IntegratorConfig, _is_tonic,
+                  default_arm_level)
 from .singular import escape_cycle_check, kappa_threshold, predicts_no_tonic
 
 
@@ -126,8 +127,9 @@ class GridSpec:
     def __post_init__(self):
         if not _finite_positive(self.kappa, self.epsilon, self.t_final):
             raise DomainError("kappa, epsilon, t_final must be finite and > 0")
-        if self.grid_points < 2 or not _finite_positive(self.extent):
-            raise DomainError("grid_points must be >= 2 and extent finite and > 0")
+        _check_int("grid_points", self.grid_points, 2)
+        if not _finite_positive(self.extent):
+            raise DomainError(f"extent must be finite and > 0, got {self.extent}")
         _require_fixed_step(self.integrator)
 
 
@@ -198,7 +200,7 @@ def run_experiment1(spec: SweepSpec) -> list:
     A, B, v0, w0, arm = np.array([pn[:5] for pn in panels]).T[:, :, None, None]
     counts, ok = _kernels.cosine_ensemble_spikes(
         A, B, spec.beta, spec.gamma, epsilons, kappas[:, None] * epsilons,
-        v0, w0, arm, spec.t_final, dt, 0.0)
+        v0, w0, arm, spec.t_final, dt, _FIRE_LEVEL)
     ensemble_s = time.perf_counter() - t_start
     results = []
     for k, (A, B, v0, w0, arm, kstar, region_ok, setup_s) in enumerate(panels):
@@ -206,7 +208,7 @@ def run_experiment1(spec: SweepSpec) -> list:
         manifest = {
             "A": A, "B": B, "beta": spec.beta, "gamma": spec.gamma,
             "t_final": spec.t_final, "dt": dt,
-            "ic": [float(v0), float(w0)], "arm_level": arm, "fire_level": 0.0,
+            "ic": [float(v0), float(w0)], "arm_level": arm, "fire_level": _FIRE_LEVEL,
             "kappa_range": list(spec.kappa_range),
             "epsilon_range": list(spec.epsilon_range),
             "grid_shape": [int(kappas.size), int(epsilons.size)],
@@ -254,7 +256,7 @@ def run_experiment2(settings_list) -> list:
         v0 = np.concatenate([np.repeat(ax, ax.size) for ax in axes])
         w0 = np.concatenate([np.tile(ax, ax.size) for ax in axes])
         counts, ok = _kernels.cosine_ensemble_spikes(
-            A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt, 0.0)
+            A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt, _FIRE_LEVEL)
         ensemble_s = time.perf_counter() - t_start
         bounds = np.cumsum(sizes)[:-1]
         for k, gs, c, good in zip(members, grids, np.split(counts, bounds),
@@ -269,7 +271,7 @@ def run_experiment2(settings_list) -> list:
             "kappa": gs.kappa, "epsilon": gs.epsilon, "eta": gs.kappa * gs.epsilon,
             "t_final": gs.t_final, "dt": gs.integrator.method.dt,
             "grid_points": gs.grid_points, "extent": gs.extent,
-            "arm_level": arm, "fire_level": 0.0,
+            "arm_level": arm, "fire_level": _FIRE_LEVEL,
             "prediction": prediction.value,
             "tool_version": __version__,
             "numba": _kernels.NUMBA_ENABLED,
@@ -364,7 +366,7 @@ def save_sweep_results(results, out_dir) -> list:
         _write_csv(csv_path, {"kappa": np.repeat(res.kappa_values, n_eps),
                               "epsilon": np.tile(res.epsilon_values, n_kappa),
                               "count": res.counts.ravel(),
-                              "tonic": res.counts.ravel() >= 2},
+                              "tonic": _is_tonic(res.counts.ravel())},
                    res.manifest.items())
         written.append(csv_path)
         mat_path = out / f"{stem}_matrix.txt"

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, FoldUndefinedError, RegionPreconditionError
-from .model import Params
+from .model import Params, _check_int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,6 +131,10 @@ def _unique_everywhere(p: Params) -> bool:
     return (p.A - p.B) ** 2 > rhs
 
 
+# c-grid points of classify_region's fold-gap test and of frozen_table's rows
+_C_GRID_SIZE = 1001
+
+
 # a verdict chain reads the band of one point, and a band of the default 1001
 # values holds 24 kB, so a few entries serve and memory stays flat
 @functools.lru_cache(maxsize=8)
@@ -138,9 +142,9 @@ def _band(p: Params, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The uniform grid c of n envelope values on [-1, 1], the gains r(c) and
     the leftmost equilibria v_e(c), as read-only arrays.
 
-    Memoised on the Params and n, so classify_region's grid test and
-    frozen_table share one band of n scalar cubic roots; both pass n by
-    position, which keeps them on one cache entry.
+    Memoised on the Params and n, so the region checks of one verdict chain
+    and frozen_table share one band of n scalar cubic roots; every caller
+    passes n by position, which keeps them on one cache entry.
     """
     cs = np.linspace(-1.0, 1.0, n)
     r = _gain(p, cs)
@@ -150,7 +154,7 @@ def _band(p: Params, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cs, r, v_e
 
 
-def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
+def classify_region(p: Params, c_grid_size: int = _C_GRID_SIZE) -> RegionClass:
     """Evaluate the parameter-region flags; the grid verifies the fold gap.
 
     The equilibria_left_of_folds flag has no closed form: v_e(c) < v_m(c) is
@@ -158,19 +162,8 @@ def classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
     smallest observed gap exceeds 10 * (grid spacing) * (max observed gap
     slope), so a sign change between grid points cannot hide. The CLI's
     --c-grid-size sets this resolution (and the rows of its --table).
-
-    Results are memoised on the (frozen, hashable) Params and the grid size,
-    one entry however the two are passed, so the several region checks of one
-    verdict chain compute the grid test once; the unmemoised function is
-    classify_region.__wrapped__, with cache_info and cache_clear beside it.
     """
-    return _classify_region_memo(p, c_grid_size)
-
-
-def _classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
-    # classify_region's computation, unmemoised
-    if c_grid_size < 3:
-        raise DomainError(f"c_grid_size must be at least 3, got {c_grid_size}")
+    _check_int("c_grid_size", c_grid_size, 3)
     unique = _unique_everywhere(p)
     eq1 = equilibrium(p, 1.0)
     les_sufficient = (effective_gain(p, -1.0)
@@ -187,15 +180,7 @@ def _classify_region(p: Params, c_grid_size: int = 1001) -> RegionClass:
                        ges_small_eps=left_of_folds)
 
 
-# lru_cache keys f(p), f(p, 1001) and f(p, c_grid_size=1001) apart, so
-# classify_region passes both arguments by position to one cache
-_classify_region_memo = functools.lru_cache(maxsize=64)(_classify_region)
-classify_region.__wrapped__ = _classify_region
-classify_region.cache_info = _classify_region_memo.cache_info
-classify_region.cache_clear = _classify_region_memo.cache_clear
-
-
-def no_spiking_condition(p: Params, c_grid_size: int = 1001) -> bool:
+def no_spiking_condition(p: Params, c_grid_size: int = _C_GRID_SIZE) -> bool:
     """Quiescence test: the lowest equilibrium sits above the highest fold.
 
     True predicts no tonic spiking for small timescale ratio under any bounded
@@ -226,15 +211,14 @@ def piecewise_spiking_condition(p: Params) -> bool:
     return eq.v_e < lo_fold.v_m and eq.w_e < hi_fold.w_m
 
 
-def frozen_table(p: Params, c_grid_size: int = 1001) -> dict:
+def frozen_table(p: Params, c_grid_size: int = _C_GRID_SIZE) -> dict:
     """Per-c table of gains, folds, equilibria, and flags for CSV export.
 
     Fold columns are NaN where the fold is undefined (gain <= 0). The c, r
     and v_e columns are copies of the memoised band that classify_region's
     grid test also reads, so a caller may write to the table.
     """
-    if c_grid_size < 2:
-        raise DomainError(f"c_grid_size must be at least 2, got {c_grid_size}")
+    _check_int("c_grid_size", c_grid_size, 2)
     cs, r, v_e = _band(p, c_grid_size)
     r_fold = np.where(r > 0.0, r, np.nan)
     return {

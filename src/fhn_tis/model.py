@@ -32,14 +32,14 @@ def _positive(name: str, value) -> float:
     return x
 
 
-def _check_stride(name: str, value) -> None:
-    """Refuse a sample stride that is not an integer of at least 1.
+def _check_int(name: str, value, least: int) -> None:
+    """Refuse a sample stride or grid size that is not an integer >= least.
 
     A float stride would sample wherever step % stride == 0 (2.5: every 5th
     step), so only integers, numpy's included, are taken.
     """
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,8 +158,6 @@ class CustomSampled:
 
 
 Drive = Union[AveragedCosine, SignCosine, FrozenConstant, RawInterference, CustomSampled]
-
-ENVELOPE_DRIVES = (AveragedCosine, SignCosine, FrozenConstant, CustomSampled)
 
 
 def envelope(drive: Drive, t: float) -> float:

@@ -18,10 +18,12 @@ from . import _kernels
 from .errors import (DivergenceError, DomainError, EmptyTrajectoryError)
 from .frozen import _gain, equilibrium
 from .model import (AveragedCosine, CustomSampled, Drive, FrozenConstant, Params,
-                    RawInterference, SignCosine, State, _check_stride, envelope)
+                    RawInterference, SignCosine, State, _check_int, envelope)
 
 # carrier resolution: at least this many steps per fast period of the raw drive
 _RAW_STEPS_PER_PERIOD = 20
+# spike threshold on v, for the detector here and the sweeps' ensemble counts
+_FIRE_LEVEL = 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +54,7 @@ class IntegratorConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
-        _check_stride("sample_stride", self.sample_stride)
+        _check_int("sample_stride", self.sample_stride, 1)
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -157,8 +159,13 @@ def default_arm_level(p: Params) -> float:
     return equilibrium(p, -1.0).v_e / 2.0
 
 
+def _is_tonic(count):
+    # the tonic rule, for a spike count or an array of counts
+    return count >= 2
+
+
 def count_spikes(traj: Trajectory, arm_level: Optional[float] = None,
-                 fire_level: float = 0.0) -> SpikeReport:
+                 fire_level: float = _FIRE_LEVEL) -> SpikeReport:
     """Hysteresis spike count over a trajectory.
 
     The detector starts armed, so a start with v already at or above the fire
@@ -174,7 +181,7 @@ def count_spikes(traj: Trajectory, arm_level: Optional[float] = None,
             f"arm_level must be below fire_level, got {arm_level} >= {fire_level}")
     idx = _kernels.spike_scan(traj.v, fire_level, arm_level)
     times = tuple(float(traj.t[i]) for i in idx)
-    return SpikeReport(spike_times=times, count=len(times), tonic=len(times) >= 2)
+    return SpikeReport(spike_times=times, count=len(times), tonic=_is_tonic(len(times)))
 
 
 def invariant_box(p: Params) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from . import _kernels
 from .errors import (BandEdgeError, DomainError, InvalidStartError, NearFoldError,
                      RegionPreconditionError, UndefinedCoordinateError)
 from .frozen import _gain, classify_region, equilibrium, fold_point
-from .model import Params, _check_stride
+from .model import Params, _check_int
 
 # fold-event tolerance on the denominator r(c) - v**2
 TOL_DENOM = 1e-6
@@ -31,6 +31,8 @@ ON_CUBIC_TOL = 1e-9
 DEFAULT_DS = 5e-4
 # points of the coarse c-scan behind kappa_threshold, band ends included
 KAPPA_SCAN_POINTS = 2049
+# kappa_threshold's default refinement tolerance on kappa
+_KAPPA_TOL = 1e-6
 
 
 class EnvelopeCoordinate(NamedTuple):
@@ -121,8 +123,7 @@ def envelope_coordinate(p: Params, v: float, w: float) -> EnvelopeCoordinate:
     return EnvelopeCoordinate(c=c, in_band=abs(c) <= 1.0)
 
 
-def _field(p: Params, kappa: float, v: float, w: float, sign: float,
-           tol_denom: float = TOL_DENOM) -> tuple[float, float]:
+def _field(p: Params, kappa: float, v: float, w: float, sign: float) -> tuple[float, float]:
     coord = envelope_coordinate(p, v, w)
     c = coord.c
     if not coord.in_band:
@@ -133,7 +134,7 @@ def _field(p: Params, kappa: float, v: float, w: float, sign: float,
                 f"point (v={v}, w={w}) lies on no admissible cubic (c={c})")
     r = _gain(p, c)
     denom = r - v * v
-    if abs(denom) <= tol_denom:
+    if abs(denom) <= TOL_DENOM:
         raise NearFoldError("vector field evaluated within fold-event tolerance",
                             v=v, w=w, c=c)
     dw = v - p.gamma * w + p.beta
@@ -184,7 +185,7 @@ def _require_region(p: Params, name: str) -> None:
         raise RegionPreconditionError(f"{name} requires equilibria_left_of_folds")
 
 
-def kappa_threshold(p: Params, tol: float = 1e-6) -> float:
+def kappa_threshold(p: Params, tol: float = _KAPPA_TOL) -> float:
     """Critical kappa above which the escape inequality holds for some c.
 
     Minimizes drift/pull over c in (-1, 1) by a coarse scan plus golden-section
@@ -222,8 +223,7 @@ def kappa_threshold(p: Params, tol: float = 1e-6) -> float:
 
 def integrate_singular(p: Params, kappa: float, start_phase: float,
                        start: CubicPoint, horizon: float,
-                       ds: float = DEFAULT_DS, sample_stride: int = 8,
-                       tol_denom: float = TOL_DENOM) -> SingularArc:
+                       ds: float = DEFAULT_DS, sample_stride: int = 8) -> SingularArc:
     """Transport a left-branch point along C_{cos(kappa*s + start_phase)}.
 
     Integrates the slow equation dw/ds = v - gamma*w + beta by RK4 on a fixed
@@ -233,31 +233,34 @@ def integrate_singular(p: Params, kappa: float, start_phase: float,
     stage; the inner stages' roots are Newton warm-started from the stage
     before and kept only where certified as the leftmost root
     (_kernels.transport_arc). Terminates at the first of: fold contact
-    (denominator within tol_denom, located by bisection), completion of a
+    (denominator within TOL_DENOM, located by bisection), completion of a
     rising half-cycle at envelope +1, collapse onto the origin, or the horizon.
 
     The start must lie on its cubic within ON_CUBIC_TOL and strictly on the
-    left branch, clear of the fold.
+    left branch, clear of the fold. Each start check is written so that a NaN
+    fails it.
     """
     for name, x in (("kappa", kappa), ("horizon", horizon), ("ds", ds)):
         if not (x > 0.0 and math.isfinite(x)):
             raise DomainError(f"{name} must be finite and > 0, got {x}")
-    _check_stride("sample_stride", sample_stride)
+    if not math.isfinite(start_phase):
+        raise DomainError(f"start_phase must be finite, got {start_phase}")
+    _check_int("sample_stride", sample_stride, 1)
     c0 = math.cos(start_phase)
-    if abs(start.c - c0) > 1e-9:
+    if not abs(start.c - c0) <= 1e-9:
         raise InvalidStartError(
             f"start.c={start.c} does not match cos(start_phase)={c0}")
     r0 = _gain(p, c0)
     resid = abs(r0 * start.v - start.v ** 3 / 3.0 - start.w)
-    if resid > ON_CUBIC_TOL:
+    if not resid <= ON_CUBIC_TOL:
         raise InvalidStartError(
             f"start point is off its cubic (residual {resid:.3e})")
-    if start.v >= 0.0 or r0 - start.v * start.v > -tol_denom:
+    if not (start.v < 0.0 and r0 - start.v * start.v <= -TOL_DENOM):
         raise InvalidStartError(
             "start point must lie strictly on the left branch, clear of the fold")
     ss, vs, ws, cc, code = _kernels.transport_arc(
         p.A, p.B, p.beta, p.gamma, kappa, start_phase, start.w,
-        horizon, ds, tol_denom, sample_stride)
+        horizon, ds, TOL_DENOM, sample_stride)
     # the last sample is the terminal point
     term_s = float(ss[-1])
     term_c = float(cc[-1])

@@ -40,9 +40,11 @@ def test_spec_validation():
         tiny_spec(t_final=0.0)
     with pytest.raises(DomainError):
         ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=0.0, epsilon=0.02)
-    with pytest.raises(DomainError):
-        ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02,
-                    grid_points=1)
+    # np.linspace takes only an integer count, so the spec checks it up front
+    for bad in (1, 2.5, 21.0, "21"):
+        with pytest.raises(DomainError, match="grid_points"):
+            ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02,
+                        grid_points=bad)
     # NaN and inf pass a `<= 0.0` test; the specs refuse them
     grid = dict(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02)
     for bad in (math.nan, math.inf):

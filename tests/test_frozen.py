@@ -185,40 +185,40 @@ def test_classify_region_grid_matches_pointwise():
         assert rc.les_sufficient == expected
 
 
-def test_classify_region_is_memoised_on_params():
-    assert ft.classify_region(std()) is ft.classify_region(std())
-    rng = np.random.default_rng(97)
-    for _ in range(200):
-        p = random_params(rng)
-        assert ft.classify_region(p) == ft.classify_region.__wrapped__(p)
-
-
-def test_classify_region_is_one_cache_entry_however_called():
-    # the grid size by default, by position and by keyword, and the region
-    # checks of the other layers, all reach the entry of the first call
-    p = std(A=0.29, B=0.31)
-    ft.classify_region.cache_clear()
-    ft.classify_region(p)
-    ft.no_spiking_condition(p)
-    ft.classify_region(p, c_grid_size=1001)
-    ft.kappa_threshold(p)
-    info = ft.classify_region.cache_info()
-    assert info.misses == 1
-    assert info.hits >= 3
+def test_c_grid_size_validation():
+    # np.linspace takes only an integer count, so the grid size is checked
+    # where it is given
+    p = std()
+    for bad in (2, 11.5, 1001.0, "11", None):
+        with pytest.raises(DomainError, match="c_grid_size"):
+            ft.classify_region(p, bad)
+        with pytest.raises(DomainError, match="c_grid_size"):
+            ft.no_spiking_condition(p, c_grid_size=bad)
+    for bad in (1, 11.5, 1001.0):
+        with pytest.raises(DomainError, match="c_grid_size"):
+            ft.frozen_table(p, c_grid_size=bad)
+    assert ft.classify_region(p, np.int64(401)) == ft.classify_region(p, 401)
+    assert ft.frozen_table(p, c_grid_size=2)["c"].tolist() == [-1.0, 1.0]
 
 
 def test_classify_region_and_frozen_table_share_one_band():
-    # one band of scalar cubic roots per (Params, grid size): the grid test
-    # computes it and the table copies it; the shared arrays are read-only,
-    # and writing to the table leaves them as they are
+    # one band of scalar cubic roots per (Params, grid size): every region
+    # check of a verdict chain, however the grid size is passed, reads the
+    # band the first grid test computed, and the table copies it; the shared
+    # arrays are read-only, and writing to the table leaves them as they are
     from fhn_tis import frozen
     p = std(A=0.27, B=0.33)
-    ft.classify_region.cache_clear()
     frozen._band.cache_clear()
     assert ft.classify_region(p).equilibria_left_of_folds
+    ft.classify_region(p, 1001)
+    ft.classify_region(p, c_grid_size=1001)
+    ft.kappa_threshold(p)
+    ft.escape_cycle_check(p, 2.0)
+    ft.predicts_no_tonic(p, 2.0)
+    ft.no_spiking_condition(p)
     tab = ft.frozen_table(p)
     info = frozen._band.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 7)
     frozen._band.cache_clear()
     fresh = ft.frozen_table(p)
     assert frozen._band.cache_info().misses == 1

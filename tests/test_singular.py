@@ -240,10 +240,25 @@ def test_integrate_singular_start_validation():
             ft.integrate_singular(p, 1.0, math.pi, pt, horizon=bad)
         with pytest.raises(DomainError, match="ds"):
             ft.integrate_singular(p, 1.0, math.pi, pt, horizon=1.0, ds=bad)
+        # refused by name, before math.cos or the kernel meets it
+        with pytest.raises(DomainError, match="start_phase"):
+            ft.integrate_singular(p, 1.0, bad, pt, horizon=1.0)
     # a stride of 2.5 would sample every 5th step
     for bad in (0, 2.5):
         with pytest.raises(DomainError, match="sample_stride"):
             ft.integrate_singular(p, 1.0, math.pi, pt, horizon=1.0, sample_stride=bad)
+    # every comparison with NaN is False, so a start check written as `>`
+    # would pass most of these; the transport reads only w, so a NaN v would
+    # not show in the arc
+    for start in (CubicPoint(v=math.nan, w=math.nan, c=-1.0),
+                  CubicPoint(v=pt.v, w=math.nan, c=-1.0),
+                  CubicPoint(v=math.nan, w=pt.w, c=-1.0),
+                  CubicPoint(v=pt.v, w=pt.w, c=math.nan),
+                  CubicPoint(v=-math.inf, w=pt.w, c=-1.0),
+                  CubicPoint(v=-math.inf, w=-math.inf, c=-1.0),
+                  CubicPoint(v=pt.v, w=math.inf, c=-1.0)):
+        with pytest.raises(InvalidStartError):
+            ft.integrate_singular(p, 1.0, math.pi, start, horizon=1.0)
 
 
 def test_integrate_singular_horizon_terminal():
