@@ -37,7 +37,7 @@ from .frozen import classify_region, equilibrium
 from .model import Params, State, _check_int
 from .sim import (DEFAULT_CONFIG, _FIRE_LEVEL, FixedRK4, IntegratorConfig, _is_tonic,
                   default_arm_level)
-from .singular import escape_cycle_check, kappa_threshold, predicts_no_tonic
+from .singular import _escape_floor, escape_cycle_check, kappa_threshold, predicts_no_tonic
 
 
 class Prediction(enum.Enum):
@@ -153,9 +153,16 @@ def _axis(rng: tuple) -> np.ndarray:
 
 
 def evaluate_prediction(p: Params, kappa: float) -> Prediction:
-    """Combined slow-limit verdict; the escape construction takes precedence."""
+    """Combined slow-limit verdict; the escape construction takes precedence.
+
+    Outside the region the verdict is indeterminate. At or below the
+    certified escape floor (``singular._escape_floor``, just under kappa*) no
+    fold contact escapes, so the escape cycle cannot hold and is not run; the
+    verdict is unchanged. ``escape_cycle_check`` and ``singular-check`` still
+    report the handoff and landing at any kappa.
+    """
     try:
-        if escape_cycle_check(p, kappa).holds:
+        if kappa > _escape_floor(p) and escape_cycle_check(p, kappa).holds:
             return Prediction.TONIC_HEURISTIC
         if predicts_no_tonic(p, kappa):
             return Prediction.NO_TONIC

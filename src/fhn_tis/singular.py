@@ -221,6 +221,41 @@ def kappa_threshold(p: Params, tol: float = _KAPPA_TOL) -> float:
     return float(min(best, f1, f2))
 
 
+# _escape_floor's allowances for rounding: absolute on the gain r and on the
+# drift (which cancels near kappa* = 0), relative on the ratio; each is many
+# times the few ulps by which this bound and _drift_over_pull can round apart
+_ROUND_ABS = 1e-14
+_ROUND_REL = 1e-12
+
+
+def _escape_floor(p: Params) -> float:
+    """A certified lower bound on drift/pull over c in (-1, 1), clipped at 0.
+
+    For every kappa at most this floor, escaping_at_c is False at every c, so
+    no arc can meet the fold inside an escape window and escape_cycle_check
+    cannot hold. On each cell of the kappa_threshold scan grid, x = sqrt(r(c))
+    runs between its values at the cell's ends; the drift
+    beta - x + (2*gamma/3)*x**3 is convex in x, so its minimum lies at an end
+    or at x* = 1/sqrt(2*gamma), and the pull x*A*B*sqrt(1 - c**2) is at most
+    its value at the largest x and the smallest c**2. The floor is the
+    smallest ratio of the two bounds over the cells. It is 0.0 where a cell's
+    drift bound is not positive, as kappa_threshold is where the drift is.
+    """
+    _require_region(p, "_escape_floor")
+    cs = np.linspace(-1.0, 1.0, KAPPA_SCAN_POINTS)
+    r = _gain(p, cs)  # decreasing in c
+    x_hi = np.sqrt(r[:-1] + _ROUND_ABS)
+    x_lo = np.sqrt(np.maximum(r[1:] - _ROUND_ABS, 0.0))
+    x = np.clip(1.0 / math.sqrt(2.0 * p.gamma), x_lo, x_hi)
+    drift = (p.beta - x + (2.0 * p.gamma / 3.0) * x ** 3
+             - _ROUND_ABS * (1.0 + p.beta + x_hi + p.gamma * x_hi ** 3))
+    if np.any(drift <= 0.0):
+        return 0.0
+    c2 = np.where(cs[:-1] * cs[1:] <= 0.0, 0.0, np.minimum(cs[:-1] ** 2, cs[1:] ** 2))
+    pull = x_hi * (p.A * p.B) * np.sqrt(1.0 - c2 + _ROUND_ABS)
+    return float(np.min(drift / pull)) * (1.0 - _ROUND_REL)
+
+
 def integrate_singular(p: Params, kappa: float, start_phase: float,
                        start: CubicPoint, horizon: float,
                        ds: float = DEFAULT_DS, sample_stride: int = 8) -> SingularArc:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import fhn_tis as ft
-from fhn_tis import _kernels
-from fhn_tis.errors import DomainError
+from fhn_tis import _kernels, experiments
+from fhn_tis.errors import DomainError, RegionPreconditionError
 from fhn_tis.experiments import _axis
+from fhn_tis.singular import _escape_floor, escape_cycle_check, predicts_no_tonic
+from test_singular import in_region_draws
 
 
 def tiny_spec(t_final=300.0, **overrides):
@@ -101,6 +103,51 @@ def test_evaluate_prediction_reference_points():
     p = ft.Params(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.02)
     assert ft.evaluate_prediction(p, 2.0) is ft.Prediction.TONIC_HEURISTIC
     assert ft.evaluate_prediction(p, 1.0) is ft.Prediction.NO_TONIC
+    wide = ft.Params(A=1.0, B=1.0, beta=0.8, gamma=0.5, epsilon=0.02)
+    assert ft.evaluate_prediction(wide, 2.0) is ft.Prediction.INDETERMINATE
+
+
+def unshortcut_prediction(p, kappa):
+    """The verdict chain with the escape cycle run at every kappa."""
+    try:
+        if escape_cycle_check(p, kappa).holds:
+            return ft.Prediction.TONIC_HEURISTIC
+        if predicts_no_tonic(p, kappa):
+            return ft.Prediction.NO_TONIC
+    except RegionPreconditionError:
+        return ft.Prediction.INDETERMINATE
+    return ft.Prediction.INDETERMINATE
+
+
+def test_evaluate_prediction_equals_unshortcut_chain():
+    # seeded points with kappa* in [1, 4], so that an arc at half of kappa*
+    # stays short (its cost grows as 1/kappa)
+    seeded = [p for p in in_region_draws(83, 12) if 1.0 <= ft.kappa_threshold(p) <= 4.0]
+    for p in [ft.Params(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.02)] + seeded[:2]:
+        ks = ft.kappa_threshold(p)
+        floor = _escape_floor(p)
+        for kappa in (0.5 * ks, 0.9 * ks, ks, 1.5 * ks, floor,
+                      float(np.nextafter(floor, np.inf))):
+            assert ft.evaluate_prediction(p, kappa) is unshortcut_prediction(p, kappa)
+
+
+def test_evaluate_prediction_skips_escape_cycle_below_floor(monkeypatch):
+    p = ft.Params(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.02)
+    floor = _escape_floor(p)
+    below = {k: ft.evaluate_prediction(p, k) for k in (0.9 * floor, floor)}
+
+    class Reached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(experiments, "escape_cycle_check", refuse)
+    for kappa, verdict in below.items():
+        assert ft.evaluate_prediction(p, kappa) is verdict
+    with pytest.raises(Reached):
+        ft.evaluate_prediction(p, float(np.nextafter(floor, np.inf)))
+    # the region check still comes first
     wide = ft.Params(A=1.0, B=1.0, beta=0.8, gamma=0.5, epsilon=0.02)
     assert ft.evaluate_prediction(wide, 2.0) is ft.Prediction.INDETERMINATE
 

@@ -196,12 +196,75 @@ def test_kappa_threshold_decreasing_in_amplitude():
 def test_kappa_threshold_requires_region():
     with pytest.raises(RegionPreconditionError):
         ft.kappa_threshold(std(A=1.0, B=1.0))
+    with pytest.raises(RegionPreconditionError):
+        singular._escape_floor(std(A=1.0, B=1.0))
     with pytest.raises(DomainError):
         ft.kappa_threshold(std(), tol=0.0)
     # a NaN tol skipped the refinement and changed kappa* in the 9th digit
     for tol in (math.nan, math.inf):
         with pytest.raises(DomainError, match="tol"):
             ft.kappa_threshold(std(), tol=tol)
+
+
+def in_region_draws(seed, n):
+    """Seeded in-region points over the benchmark's parameter box."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        A, B, beta, gamma = (float(x) for x in rng.uniform((0.05, 0.05, 0.1, 0.2),
+                                                           (0.7, 0.7, 1.5, 2.0)))
+        p = std(A=A, B=B, beta=beta, gamma=gamma)
+        if ft.classify_region(p).equilibria_left_of_folds:
+            out.append(p)
+    return out
+
+
+def vanishing_drift_draws(seed, n):
+    """In-region points whose drift beta - x + (2*gamma/3)*x**3, x = sqrt(r),
+    has its minimum over the band within 1e-5 to 1e-3 of 0 (classify_region's
+    grid margin refuses almost every point closer to 0): at
+    x* = 1/sqrt(2*gamma) inside the band for every other point, at an end of
+    the band for the rest."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        A, B, gamma = (float(x) for x in rng.uniform((0.05, 0.05, 0.2), (0.7, 0.7, 2.0)))
+        x_lo, x_hi = math.sqrt(1 - (A + B) ** 2 / 2), math.sqrt(1 - (A - B) ** 2 / 2)
+        if len(out) % 2:
+            x = float(rng.uniform(max(x_lo, 0.5), x_hi))
+            gamma = 1 / (2 * x * x)
+        else:
+            x = min(max(1 / math.sqrt(2 * gamma), x_lo), x_hi)
+        beta = x - (2 * gamma / 3) * x ** 3 + 10 ** float(rng.uniform(-5, -3))
+        if beta <= 0.0:
+            continue
+        p = std(A=A, B=B, beta=beta, gamma=gamma)
+        if ft.classify_region(p).equilibria_left_of_folds:
+            out.append(p)
+    return out
+
+
+def test_escape_floor_is_a_lower_bound():
+    cs = np.linspace(-1, 1, singular.KAPPA_SCAN_POINTS)[1:-1]
+    for p in in_region_draws(71, 20) + vanishing_drift_draws(73, 20):
+        floor = singular._escape_floor(p)
+        dense, _ = oracles.kappa_star_scan(p.A, p.B, p.beta, p.gamma)
+        assert 0.0 <= floor <= dense
+        assert np.all(floor <= singular._drift_over_pull(p, cs))
+        # so no envelope value escapes at the floor
+        if floor > 0.0:
+            assert not any(ft.escaping_at_c(p, floor, float(c)) for c in cs[::16])
+
+
+def test_escape_floor_is_close_below_kappa_threshold():
+    # close enough that the kappas below kappa* skip the escape cycle; where
+    # the drift nearly vanishes at an end of the band, the pull changes fast
+    # across a cell and the floor falls to about 0.975*kappa*, so those points
+    # are checked as a lower bound only
+    for p in in_region_draws(79, 40) + [std(), std(beta=0.7, gamma=0.6)]:
+        ks = ft.kappa_threshold(p)
+        if ks > 0.0:
+            assert 0.99 * ks <= singular._escape_floor(p) <= ks
 
 
 def test_integrate_singular_start_validation():
