@@ -15,12 +15,14 @@ same time rule. A step writes into buffers allocated once per call, the state
 laid out [r*v | v | w | -beta], n values a block, so its cost at a few cells
 is the count of numpy calls: 45 a step for the RK4 stages, against about 80
 on fresh arrays, and two for the spike count. Spikes are not counted step by
-step: the states of a block of steps are stored, and the hysteresis and the
-finiteness flag are evaluated over the block afterwards, with the detector
-state and the flag carried from block to block. Every elementwise operation
-is the scalar kernel's, in its order, and the block count gives each step the
-detector state of a per-step update, so the counts equal cosine_cell_spikes'
-cell by cell. spike_scan makes one pass over the samples as Python floats.
+step: the v row of a block of steps is stored, and the hysteresis is
+evaluated over the block afterwards, with the detector state carried from
+block to block. Every elementwise operation is the scalar kernel's, in its
+order, and the block count gives each step the detector state of a per-step
+update, so the counts equal cosine_cell_spikes' cell by cell. A non-finite
+RK4 state stays non-finite, so divergence is checked once, on the final
+state, and a diverged cell counts -1. spike_scan makes one pass over the
+samples as Python floats.
 
 transport_arc carries a slow-limit arc on a fixed s-grid, one RK4 step at a
 time. A step makes four cubic roots (three warm-started Newton roots and the
@@ -360,37 +362,28 @@ def cosine_cell_spikes(A, B, beta, gamma, eps, eta, v0, w0, t_final, dt, fire, a
     return len(spike_scan(vs, fire, arm)), ok
 
 
-# a block of cosine_ensemble_spikes stores the states of about this many
+# a block of cosine_ensemble_spikes stores the v of about this many
 # (step, cell) pairs, and of at least _ENSEMBLE_MIN_STEPS steps, before it
-# counts their spikes: the block's gain tables and stored states stay small
+# counts their spikes: the block's gain tables and stored values stay small
 # at any horizon, and the count's per-block calls are spread over several
 # steps even at the paper sweep's 19 680 cells
 _ENSEMBLE_BLOCK = 16384
 _ENSEMBLE_MIN_STEPS = 8
 
 
-def _count_block(states, fire, arm, counts, armed, ok):
-    """Count the spikes of one block of stored ensemble states, in place.
+def _count_block(v, fire, arm, counts, armed):
+    """Count the spikes of one block of stored ensemble v values, in place.
 
-    states[j] is the (2, n) state (v; w) after step j of the block; counts,
-    armed and ok hold each cell's count, detector state and finiteness flag
-    before the block, and leave holding them after it. A step counts only
-    while the states of every step up to it are finite, as the scalar loop
-    breaks at its first non-finite state. The detector fires on v >= fire
-    when armed and re-arms on v < arm; with arm <= fire no state does both,
-    so a spike is a step that takes the detector from armed to disarmed.
-    The comparisons run over the whole block at once, and so does the
-    running finiteness flag, in one numpy call; the detector state takes
-    two calls per stored step.
+    v[j] holds every cell's v after step j of the block; counts and armed
+    hold each cell's count and detector state before the block, and leave
+    holding them after it. The detector fires on v >= fire when armed and
+    re-arms on v < arm, and a NaN does neither; with arm <= fire no value
+    does both, so a spike is a step that takes the detector from armed to
+    disarmed. The comparisons run over the whole block at once; the
+    detector state takes two calls per stored step.
     """
-    m = len(states)
-    finite = np.isfinite(states)
-    alive = finite[:, 0] & finite[:, 1]
-    alive[0] &= ok
-    np.logical_and.accumulate(alive, axis=0, out=alive)
-    v = states[:, 0]
+    m = len(v)
     up = v >= fire
-    up &= alive
     down = v < arm
     s = np.empty((m + 1, len(armed)), dtype=bool)
     s[0] = armed
@@ -400,7 +393,6 @@ def _count_block(states, fire, arm, counts, armed, ok):
         np.greater(s[j + 1], up[j], out=s[j + 1])
     counts += np.count_nonzero(s[:-1] > s[1:], axis=0)
     armed[:] = s[m]
-    ok[:] = alive[-1]
 
 
 def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt, fire):
@@ -413,14 +405,15 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
     per call; a stage's right-hand side is 8 ufunc calls on them (see rhs),
     and the stage states, stage sums and final update take one call each on
     [v | w]. Every elementwise operation is the scalar kernel's, on its
-    operands and in its order, so it rounds as the scalar kernel does. The
-    states of each block of steps are stored and counted after the block by
-    _count_block, which carries the detector state and the ok flag into the
-    next block, so the counts are those of a per-step update. A cell stops
-    counting at its first non-finite state, where the scalar loop breaks, so
-    the result equals cosine_cell_spikes cell by cell. Every arm must lie at
-    or below fire. Returns (counts, ok), int64 and bool arrays of the
-    broadcast shape.
+    operands and in its order, so it rounds as the scalar kernel does. The v
+    row of each block of steps is stored and counted after the block by
+    _count_block, which carries the detector state into the next block, so
+    the counts are those of a per-step update and equal cosine_cell_spikes'
+    cell by cell. A non-finite RK4 state stays non-finite, so a cell whose
+    final state is not finite is one where the scalar loop reports ok = 0
+    (or, with no step to take, one that starts non-finite); its count is -1.
+    Every arm must lie at or below fire. Returns the counts, an int64 array
+    of the broadcast shape.
     """
     cells = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
                                   for x in (A, B, beta, gamma, eps, eta, v0, w0, arm)))
@@ -433,16 +426,15 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
     AB = A * B
     counts = (v >= fire).astype(np.int64)
     armed = counts == 0
-    ok = np.ones(n, dtype=bool)
     nst = int(math.ceil(t_final / dt - 1e-12)) if n else 0
     block = max(_ENSEMBLE_MIN_STEPS, _ENSEMBLE_BLOCK // max(1, n))
     X = np.concatenate((v, v, w, -beta))
     S = X.copy()
     K = np.empty((4, 2 * n))
-    stored = np.empty((min(block, nst), 2 * n))
+    stored = np.empty((min(block, nst), n))
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     K1, K2, K3, K4 = K
-    Xvw, Svw, K23 = X[n:3 * n], S[n:3 * n], K[1:3]
+    Xv, Xvw, Svw, K23 = X[n:2 * n], X[n:3 * n], S[n:3 * n], K[1:3]
     x_parts, s_parts = ((a[:n], a[n:2 * n], a[2 * n:3 * n], a[:2 * n], a[2 * n:])
                         for a in (X, S))
     k_parts = [(k, k[:n], k[n:]) for k in K]
@@ -466,8 +458,8 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
             hs = np.minimum(dt, t_final - t)
             r_start, r_mid, r_end = (rho - AB * np.cos(eta * ts[:, None])
                                      for ts in (t, t + hs / 2.0, t + hs))
-            states = stored[:len(t)]
-            for h, r1, r2, r4, state in zip(hs.tolist(), r_start, r_mid, r_end, states):
+            vs = stored[:len(t)]
+            for h, r1, r2, r4, v_after in zip(hs.tolist(), r_start, r_mid, r_end, vs):
                 hh = h / 2.0
                 rhs(r1, x_parts, k_parts[0])
                 mul(K1, hh, Svw)
@@ -486,9 +478,10 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
                 add(K1, K4, K1)
                 mul(K1, h / 6.0, K1)
                 add(Xvw, K1, Xvw)
-                state[...] = Xvw
-            _count_block(states.reshape(-1, 2, n), fire, arm, counts, armed, ok)
-    return counts.reshape(shape), ok.reshape(shape)
+                v_after[...] = Xv
+            _count_block(vs, fire, arm, counts, armed)
+    counts[~np.isfinite(Xvw.reshape(2, n)).all(axis=0)] = -1
+    return counts.reshape(shape)
 
 
 def spike_scan(v, fire, arm):

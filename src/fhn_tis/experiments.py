@@ -9,14 +9,8 @@ the observed counts against the arc-based prediction.
 
 The cells of one call are integrated together in lockstep as one numpy
 ensemble (``_kernels.cosine_ensemble_spikes``), on the time rule of the
-fixed-step simulator (``_kernels.rk4_trajectory``). The ensemble holds every
-cell's (v, w) in one buffer laid out [r*v | v | w | -beta], so that the two
-rows of the right-hand side share their subtractions, steps it in buffers
-allocated once (45 numpy calls a step), and counts spikes once per block of
-stored steps; its per-step cost at the few cells of an initial-condition
-grid is set by its numpy calls, not by the cells. Its counts equal the
-scalar cell kernel's, which runs on that simulator, cell by cell, and reruns
-are bit-identical.
+fixed-step simulator. Its counts equal the scalar cell kernel's cell by cell,
+a diverged cell counts -1, and reruns are bit-identical.
 """
 from __future__ import annotations
 
@@ -55,7 +49,14 @@ class AtZeroWe1:
 
 @dataclasses.dataclass(frozen=True)
 class ExplicitIC:
+    """Start every cell at one given state, which must be finite."""
+
     state: State
+
+    def __post_init__(self):
+        v, w = self.state
+        if not (math.isfinite(v) and math.isfinite(w)):
+            raise DomainError(f"initial state must be finite, got ({v}, {w})")
 
 
 def _finite_positive(*xs) -> bool:
@@ -171,11 +172,6 @@ def evaluate_prediction(p: Params, kappa: float) -> Prediction:
     return Prediction.INDETERMINATE
 
 
-def _split_cells(counts, ok):
-    """Counts with -1 marking a diverged cell, and the diverged mask."""
-    return np.where(ok, counts, -1), ~ok
-
-
 def run_experiment1(spec: SweepSpec) -> list:
     """Run one heatmap panel per amplitude pair in the spec.
 
@@ -205,13 +201,12 @@ def run_experiment1(spec: SweepSpec) -> list:
     t_start = time.perf_counter()
     # per-panel columns of shape (panels, 1, 1) against the (kappa, epsilon) grid
     A, B, v0, w0, arm = np.array([pn[:5] for pn in panels]).T[:, :, None, None]
-    counts, ok = _kernels.cosine_ensemble_spikes(
+    counts = _kernels.cosine_ensemble_spikes(
         A, B, spec.beta, spec.gamma, epsilons, kappas[:, None] * epsilons,
         v0, w0, arm, spec.t_final, dt, _FIRE_LEVEL)
     ensemble_s = time.perf_counter() - t_start
     results = []
     for k, (A, B, v0, w0, arm, kstar, region_ok, setup_s) in enumerate(panels):
-        panel_counts, diverged = _split_cells(counts[k], ok[k])
         manifest = {
             "A": A, "B": B, "beta": spec.beta, "gamma": spec.gamma,
             "t_final": spec.t_final, "dt": dt,
@@ -227,7 +222,7 @@ def run_experiment1(spec: SweepSpec) -> list:
         }
         results.append(SweepResult(
             A=A, B=B, kappa_values=kappas.copy(), epsilon_values=epsilons.copy(),
-            counts=panel_counts, diverged=diverged,
+            counts=counts[k], diverged=counts[k] < 0,
             kappa_star=kstar, manifest=manifest))
     return results
 
@@ -262,14 +257,13 @@ def run_experiment2(settings_list) -> list:
         axes = [setups[k][2] for k in members]
         v0 = np.concatenate([np.repeat(ax, ax.size) for ax in axes])
         w0 = np.concatenate([np.tile(ax, ax.size) for ax in axes])
-        counts, ok = _kernels.cosine_ensemble_spikes(
+        counts = _kernels.cosine_ensemble_spikes(
             A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt, _FIRE_LEVEL)
         ensemble_s = time.perf_counter() - t_start
         bounds = np.cumsum(sizes)[:-1]
-        for k, gs, c, good in zip(members, grids, np.split(counts, bounds),
-                                  np.split(ok, bounds)):
-            shape = (gs.grid_points, gs.grid_points)
-            cells[k] = _split_cells(c.reshape(shape), good.reshape(shape)) + (ensemble_s,)
+        for k, gs, c in zip(members, grids, np.split(counts, bounds)):
+            c = c.reshape(gs.grid_points, gs.grid_points)
+            cells[k] = c, c < 0, ensemble_s
     results = []
     for gs, (prediction, arm, axis, setup_s), (counts, diverged, ensemble_s) in zip(
             settings_list, setups, cells):

@@ -99,6 +99,60 @@ def test_runs_match_scalar_kernel_cell_by_cell():
                 assert res.counts[i, j] == (c if ok else -1)
 
 
+def scalar_cell(A, B, beta, gamma, eps, eta, v0, w0, t_final, dt, arm):
+    """The scalar cell kernel's count, or -1 where its state went non-finite."""
+    c, ok = _kernels.cosine_cell_spikes(A, B, beta, gamma, eps, eta, float(v0), float(w0),
+                                        t_final, dt, 0.0, arm)
+    return c if ok else -1
+
+
+def coarse(dt):
+    return ft.IntegratorConfig(method=ft.FixedRK4(dt=dt))
+
+
+def test_grid_marks_diverged_cells_minus_one(tmp_path):
+    # of the 3x3 starts of extent 40 at dt 0.25, only the centre (0, 0)
+    # stays finite
+    gs = ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=2.0, epsilon=0.02,
+                     t_final=50.0, grid_points=3, extent=40.0, integrator=coarse(0.25))
+    res, = ft.run_experiment2([gs])
+    expected = [[-1, -1, -1], [-1, 1, -1], [-1, -1, -1]]
+    assert res.counts.tolist() == expected
+    assert res.diverged.tolist() == (res.counts < 0).tolist()
+    arm = res.manifest["arm_level"]
+    assert [[scalar_cell(0.3, 0.3, 0.8, 0.5, 0.02, 0.04, v0, w0, 50.0, 0.25, arm)
+             for w0 in res.w0_values] for v0 in res.v0_values] == expected
+    ft.save_grid_results([res], tmp_path)
+    lines = (tmp_path / "grid_0.3_0.3_kappa2_eps0.02.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert [int(r[2]) for r in rows] == sum(expected, [])
+
+
+def test_panel_marks_diverged_cells_minus_one(tmp_path):
+    # every cell diverges from (40, 0) at dt 0.5
+    spec = tiny_spec(t_final=50.0, ic_policy=ft.ExplicitIC(ft.State(40.0, 0.0)),
+                     integrator=coarse(0.5))
+    res, = ft.run_experiment1(spec)
+    assert res.counts.tolist() == [[-1, -1]] * 3
+    assert res.diverged.all()
+    arm = res.manifest["arm_level"]
+    assert all(scalar_cell(0.3, 0.3, 0.8, 0.5, eps, kap * eps, 40.0, 0.0, 50.0, 0.5, arm) == -1
+               for kap in res.kappa_values.tolist() for eps in res.epsilon_values.tolist())
+    ft.save_sweep_results([res], tmp_path)
+    lines = (tmp_path / "panel_0.3_0.3.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert [(int(c), int(t)) for _, _, c, t in rows] == [(-1, 0)] * 6
+    mat = (tmp_path / "panel_0.3_0.3_matrix.txt").read_text().splitlines()[1:]
+    assert mat == ["-1 -1 -1"] * 2
+
+
+def test_explicit_ic_refuses_non_finite_start():
+    # a non-finite start once ran and marked every cell diverged
+    for v, w in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            ft.ExplicitIC(ft.State(v, w))
+
+
 def test_evaluate_prediction_reference_points():
     p = ft.Params(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.02)
     assert ft.evaluate_prediction(p, 2.0) is ft.Prediction.TONIC_HEURISTIC

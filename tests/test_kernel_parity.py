@@ -132,8 +132,8 @@ def test_transport_step_statuses_match_reference():
 
 
 def test_ensemble_matches_scalar_cell_kernel():
-    # the lockstep ensemble must give the scalar kernel's counts and ok flags
-    # exactly, cell by cell
+    # the lockstep ensemble must give the scalar kernel's counts exactly, cell
+    # by cell, and -1 where the scalar kernel's ok flag is 0
     rng = np.random.default_rng(79)
     n = 40
     A, B = rng.uniform(0.1, 0.6, (2, n))
@@ -150,23 +150,22 @@ def test_ensemble_matches_scalar_cell_kernel():
     diverged = set()
     # the second horizon is no multiple of dt, so the last step is clipped
     for t_final, dt in ((60.0, 0.01), (37.123, 0.05), (20.0, 0.5)):
-        counts, ok = fast.cosine_ensemble_spikes(A, B, beta, gamma, eps, eta,
-                                                 v0, w0, arm, t_final, dt, 0.0)
+        counts = fast.cosine_ensemble_spikes(A, B, beta, gamma, eps, eta,
+                                             v0, w0, arm, t_final, dt, 0.0)
         ref = [fast.cosine_cell_spikes(
                    *(float(x[i]) for x in (A, B, beta, gamma, eps, eta, v0, w0)),
                    t_final, dt, 0.0, float(arm[i])) for i in range(n)]
-        assert counts.tolist() == [c for c, _ in ref]
-        assert ok.tolist() == [bool(k) for _, k in ref]
+        assert counts.tolist() == [c if ok else -1 for c, ok in ref]
         assert counts[0] >= 1
-        diverged |= set(np.flatnonzero(~ok).tolist())
+        diverged |= set(np.flatnonzero(counts < 0).tolist())
     assert {1, 2} <= diverged
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_ensemble_counts_across_block_boundaries(monkeypatch, block):
     # the ensemble counts each block of stored steps at once, carrying the
-    # detector state and the ok flag from block to block; with blocks of 1
-    # and 7 steps, the cells below put their events on block boundaries
+    # detector state from block to block; with blocks of 1 and 7 steps, the
+    # cells below put their events on block boundaries
     monkeypatch.setattr(fast, "_ENSEMBLE_BLOCK", 1)
     monkeypatch.setattr(fast, "_ENSEMBLE_MIN_STEPS", block)
     A, B, beta, gamma, eps, eta = 0.3, 0.3, 0.8, 0.5, 0.1, 0.2
@@ -189,16 +188,16 @@ def test_ensemble_counts_across_block_boundaries(monkeypatch, block):
         starts = np.vstack((special, rng.uniform((-2.0, -1.5, fire - 1.0),
                                                  (2.0, 1.5, fire), (12, 3))))
         v0, w0, arm = starts.T
-        counts, ok = fast.cosine_ensemble_spikes(A, B, beta, gamma, eps, eta,
-                                                 v0, w0, arm, 30.0, dt, fire)
+        counts = fast.cosine_ensemble_spikes(A, B, beta, gamma, eps, eta,
+                                             v0, w0, arm, 30.0, dt, fire)
         ref = [fast.cosine_cell_spikes(A, B, beta, gamma, eps, eta, float(v0[i]),
                                        float(w0[i]), 30.0, dt, fire, float(arm[i]))
                for i in range(len(starts))]
-        assert counts.tolist() == [c for c, _ in ref]
-        assert ok.tolist() == [bool(k) for _, k in ref]
-        assert counts[1] >= 1 and counts[2] == 0 and not ok[2]
-    # the start (-1, -10) keeps the spike it fired before going non-finite
-    assert counts[0] == 1 and not ok[0]
+        assert counts.tolist() == [c if ok else -1 for c, ok in ref]
+        assert counts[1] >= 1 and ref[2] == (0, 0) and counts[2] == -1
+    # the start (-1, -10) fires once before going non-finite; the ensemble
+    # reads the cell as diverged all the same
+    assert ref[0] == (1, 0) and counts[0] == -1
 
 
 def test_ensemble_counts_do_not_depend_on_grouping():
@@ -216,33 +215,29 @@ def test_ensemble_counts_do_not_depend_on_grouping():
     def run(part):
         return fast.cosine_ensemble_spikes(*cells[:, part], 37.123, 0.05, 0.0)
 
-    counts, ok = run(slice(None))
+    counts = run(slice(None))
     assert counts.min() >= 0 and counts.max() > counts.min()
     for parts in ([slice(i, i + 1) for i in range(n)],
                   [slice(0, 1), slice(1, 19), slice(19, n)]):
         groups = [run(part) for part in parts]
-        assert np.concatenate([c for c, _ in groups]).tolist() == counts.tolist()
-        assert np.concatenate([k for _, k in groups]).tolist() == ok.tolist()
-    counts, ok = run(slice(0, 0))
-    assert counts.shape == ok.shape == (0,)
-    assert counts.dtype == np.int64 and ok.dtype == bool
+        assert np.concatenate(groups).tolist() == counts.tolist()
+    counts = run(slice(0, 0))
+    assert counts.shape == (0,) and counts.dtype == np.int64
 
 
-def test_count_block_stops_at_first_non_finite_state():
-    # a step counts only while every state up to it is finite, even where a
-    # state after it is finite again: cell 0 has v = nan at step 1, cell 3
-    # w = inf at step 0; cell 2 enters the block not ok; cell 1 fires twice
+def test_count_block_counts_hysteresis_only():
+    # v[j] holds every cell's v after step j; fire = 0, arm = -0.5. Cell 0
+    # fires twice in the block; cell 1 enters disarmed, and -0.2 lies above
+    # the arm level, so it re-arms only on its last step; a NaN neither fires
+    # nor re-arms (cells 2 and 3), while +inf fires and -inf re-arms (cell 3)
     nan, inf = math.nan, math.inf
-    v = [[-1.0, -1.0, -1.0, -1.0], [nan, 1.0, 1.0, 1.0],
-         [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
-    w = [[0.0, 0.0, 0.0, inf], [0.0] * 4, [0.0] * 4, [0.0] * 4]
-    states = np.stack((v, w), axis=1)
-    counts = np.zeros(4, dtype=np.int64)
-    armed = np.ones(4, dtype=bool)
-    ok = np.array([True, True, False, True])
-    fast._count_block(states, 0.0, -0.5, counts, armed, ok)
-    assert counts.tolist() == [0, 2, 0, 0]
-    assert ok.tolist() == [False, True, False, False]
+    v = np.array([[-1.0, 1.0, nan, inf], [1.0, -0.2, 1.0, nan],
+                  [-1.0, 1.0, nan, -inf], [1.0, -1.0, -1.0, 0.0]])
+    counts = np.array([3, 0, 0, 5])
+    armed = np.array([True, False, True, True])
+    fast._count_block(v, 0.0, -0.5, counts, armed)
+    assert counts.tolist() == [5, 0, 1, 7]
+    assert armed.tolist() == [False, True, True, False]
 
 
 def test_ensemble_rejects_arm_above_fire():

@@ -140,6 +140,15 @@ def test_escaping_at_c_argument_checks():
             ft.escaping_at_c(p, kappa, 0.5)
 
 
+def test_arc_checks_refuse_non_positive_kappa():
+    # kappa = 0 once raised a bare ZeroDivisionError from the half-cycle pi/kappa
+    p = std()
+    for kappa in (0.0, -1.0, math.nan):
+        for check in (ft.escape_cycle_check, ft.predicts_no_tonic, ft.evaluate_prediction):
+            with pytest.raises(DomainError, match="kappa"):
+                check(p, kappa)
+
+
 def test_escaping_at_c_kappa_limits():
     p = std()
     cs = np.linspace(-1, 1, 10001)[1:-1]
