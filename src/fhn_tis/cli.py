@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigError, DivergenceError, DomainError, RegionPreconditionError
-from .model import Params, State, drive_from_dict, params_from_dict
+from .model import Params, State, _check_int, drive_from_dict, params_from_dict
 from .frozen import (_C_GRID_SIZE, classify_region, equilibrium, frozen_table,
                      no_spiking_condition, piecewise_spiking_condition)
 from .singular import (DEFAULT_DS, _KAPPA_TOL, CubicPoint, escape_cycle_check,
@@ -135,8 +135,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.decimate < 1:
-        raise ConfigError(f"decimate must be >= 1, got {args.decimate}", key="decimate")
+    _check_int("decimate", args.decimate, 1)
     cfg = _load_config(args.config)
     p = _build_params(args, cfg)
     drive = _build_drive(args, cfg)
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, RegionPreconditionError) as exc:
+    except (DomainError, RegionPreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

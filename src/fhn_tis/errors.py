@@ -59,8 +59,11 @@ class EmptyTrajectoryError(ValueError):
     """An operation that needs samples received an empty trajectory."""
 
 
-class ConfigError(ValueError):
-    """A run configuration failed validation. ``key`` names the offending entry."""
+class ConfigError(DomainError):
+    """A setting failed validation; ``key`` names the offending entry.
+
+    It is also a DomainError, so ``except DomainError`` catches it.
+    """
 
     def __init__(self, message, key=None):
         super().__init__(message)

@@ -28,7 +28,7 @@ from . import _kernels
 from ._version import __version__
 from .errors import DomainError, RegionPreconditionError
 from .frozen import classify_region, equilibrium
-from .model import Params, State, _check_int
+from .model import Params, State, _check_int, _finite, _positive
 from .sim import (DEFAULT_CONFIG, _FIRE_LEVEL, FixedRK4, IntegratorConfig, _is_tonic,
                   default_arm_level)
 from .singular import _escape_floor, escape_cycle_check, kappa_threshold, predicts_no_tonic
@@ -55,12 +55,8 @@ class ExplicitIC:
 
     def __post_init__(self):
         v, w = self.state
-        if not (math.isfinite(v) and math.isfinite(w)):
-            raise DomainError(f"initial state must be finite, got ({v}, {w})")
-
-
-def _finite_positive(*xs) -> bool:
-    return all(x > 0.0 and math.isfinite(x) for x in xs)
+        _finite("state.v", v)
+        _finite("state.w", w)
 
 
 def _require_fixed_step(cfg: IntegratorConfig):
@@ -86,13 +82,12 @@ class SweepSpec:
     def __post_init__(self):
         if not self.amplitude_list:
             raise DomainError("amplitude_list must be nonempty")
-        for rng, name in ((self.kappa_range, "kappa_range"),
-                          (self.epsilon_range, "epsilon_range")):
-            lo, hi, step = rng
-            if not (_finite_positive(lo, hi, step) and lo <= hi):
-                raise DomainError(f"{name} must be finite with 0 < min <= max, step > 0")
-        if not _finite_positive(self.t_final):
-            raise DomainError(f"t_final must be finite and > 0, got {self.t_final}")
+        for name in ("kappa_range", "epsilon_range"):
+            lo, hi, step = (_positive(name, x) for x in getattr(self, name))
+            if not lo <= hi:
+                raise DomainError(f"{name} must have min <= max, got {lo} > {hi}")
+        for name in ("t_final", "beta", "gamma"):
+            _positive(name, getattr(self, name))
         _require_fixed_step(self.integrator)
 
 
@@ -126,11 +121,9 @@ class GridSpec:
     integrator: IntegratorConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if not _finite_positive(self.kappa, self.epsilon, self.t_final):
-            raise DomainError("kappa, epsilon, t_final must be finite and > 0")
+        for name in ("A", "B", "beta", "gamma", "kappa", "epsilon", "t_final", "extent"):
+            _positive(name, getattr(self, name))
         _check_int("grid_points", self.grid_points, 2)
-        if not _finite_positive(self.extent):
-            raise DomainError(f"extent must be finite and > 0, got {self.extent}")
         _require_fixed_step(self.integrator)
 
 
@@ -162,6 +155,7 @@ def evaluate_prediction(p: Params, kappa: float) -> Prediction:
     verdict is unchanged. ``escape_cycle_check`` and ``singular-check`` still
     report the handoff and landing at any kappa.
     """
+    _positive("kappa", kappa)
     try:
         if kappa > _escape_floor(p) and escape_cycle_check(p, kappa).holds:
             return Prediction.TONIC_HEURISTIC

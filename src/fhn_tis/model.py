@@ -19,27 +19,39 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, DomainError, UnsupportedDriveError
+from .errors import ConfigError, UnsupportedDriveError
+
+
+def _finite(name: str, value) -> float:
+    """A setting as a float: a real number that is not a bool, and finite.
+
+    Ints, floats and numpy's numeric scalars pass. NaN, inf, a bool (an int to
+    Python) and a string (even "0.3") raise ConfigError(key=name).
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        x = float(value)
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{name} must be a finite number, got {value!r}", key=name)
 
 
 def _positive(name: str, value) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}", key=name) from None
-    if not math.isfinite(x) or x <= 0.0:
-        raise ConfigError(f"{name} must be finite and > 0, got {x}", key=name)
+    """A setting as a float: _finite's rule, and also > 0."""
+    x = _finite(name, value)
+    if x <= 0.0:
+        raise ConfigError(f"{name} must be finite and > 0, got {value!r}", key=name)
     return x
 
 
 def _check_int(name: str, value, least: int) -> None:
-    """Refuse a sample stride or grid size that is not an integer >= least.
+    """Refuse a count (a stride, a grid size) that is not an integer >= least.
 
     A float stride would sample wherever step % stride == 0 (2.5: every 5th
-    step), so only integers, numpy's included, are taken.
+    step), so only integers, numpy's included, are taken; a bool is not one.
+    Raises ConfigError(key=name).
     """
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}", key=name)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,8 +118,8 @@ class FrozenConstant:
     c: float
 
     def __post_init__(self):
-        c = float(self.c)
-        if not math.isfinite(c) or abs(c) > 1.0:
+        c = _finite("c", self.c)
+        if abs(c) > 1.0:
             raise ConfigError(f"c must lie in [-1, 1], got {c}", key="c")
         object.__setattr__(self, "c", c)
 
@@ -145,7 +157,10 @@ class CustomSampled:
     dt: float
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
+        arr = np.asarray(self.values)
+        if arr.dtype.kind not in "iuf":  # astype would read True as 1.0, "0.5" as 0.5
+            raise ConfigError(f"values must be numbers, got dtype {arr.dtype}", key="values")
+        arr = arr.astype(np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ConfigError("values must be a 1-D array with at least 2 samples",
                               key="values")
@@ -201,8 +216,7 @@ def effective_amplitudes(A: float, B: float) -> tuple[float, float]:
     effective_amplitude_conventions for a side-by-side numeric comparison with
     the (pi/4) * A * B convention.
     """
-    if A <= 0.0 or B <= 0.0:
-        raise DomainError("effective_amplitudes requires A, B > 0")
+    A, B = _positive("A", A), _positive("B", B)
     R = math.hypot(A, B)
     theta = 0.5 * math.asin((math.pi / 8.0) * A * B / (A * A + B * B))
     return R * math.cos(theta), R * math.sin(theta)

@@ -18,7 +18,8 @@ from . import _kernels
 from .errors import (DivergenceError, DomainError, EmptyTrajectoryError)
 from .frozen import _gain, equilibrium
 from .model import (AveragedCosine, CustomSampled, Drive, FrozenConstant, Params,
-                    RawInterference, SignCosine, State, _check_int, envelope)
+                    RawInterference, SignCosine, State, _check_int, _finite, _positive,
+                    envelope)
 
 # carrier resolution: at least this many steps per fast period of the raw drive
 _RAW_STEPS_PER_PERIOD = 20
@@ -31,8 +32,7 @@ class FixedRK4:
     dt: float
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
+        _positive("dt", self.dt)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,9 +43,7 @@ class AdaptiveRK45:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_dt"):
-            x = getattr(self, name)
-            if not (x > 0.0 and math.isfinite(x)):
-                raise DomainError(f"{name} must be finite and > 0, got {x}")
+            _positive(name, getattr(self, name))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,13 +127,10 @@ def simulate(p: Params, drive: Drive, ic: State, t_final: float,
     size collapses; the dynamics are provably bounded, so divergence always
     means the integrator needs a smaller step or tighter tolerances.
     """
-    if not (math.isfinite(t0) and math.isfinite(t_final)):
-        raise DomainError(f"t0 and t_final must be finite, got {t0} and {t_final}")
+    t0, t_final = _finite("t0", t0), _finite("t_final", t_final)
     if not (t_final > t0):
         raise DomainError(f"t_final must exceed t0, got {t_final} <= {t0}")
-    v, w = float(ic[0]), float(ic[1])
-    if not (math.isfinite(v) and math.isfinite(w)):
-        raise DomainError(f"initial state must be finite, got ({v}, {w})")
+    v, w = _finite("ic.v", ic[0]), _finite("ic.w", ic[1])
     parts = []
     for drive_code, a, b in _legs(drive, t0, t_final):
         ts, vs, ws, _, ok = _run_leg(p, drive_code, v, w, a, b, cfg)

@@ -21,7 +21,7 @@ from . import _kernels
 from .errors import (BandEdgeError, DomainError, InvalidStartError, NearFoldError,
                      RegionPreconditionError, UndefinedCoordinateError)
 from .frozen import _gain, classify_region, equilibrium, fold_point
-from .model import Params, _check_int
+from .model import Params, _check_int, _finite, _positive
 
 # fold-event tolerance on the denominator r(c) - v**2
 TOL_DENOM = 1e-6
@@ -152,12 +152,6 @@ def falling_field(p: Params, kappa: float, v: float, w: float) -> tuple[float, f
     return _field(p, kappa, v, w, -1.0)
 
 
-def _check_positive(name: str, x: float) -> None:
-    # written so that a NaN fails it
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"{name} must be finite and > 0, got {x}")
-
-
 def escaping_at_c(p: Params, kappa: float, c: float) -> bool:
     """Escape inequality at the fold of C_c, on a rising envelope half-cycle.
 
@@ -166,14 +160,12 @@ def escaping_at_c(p: Params, kappa: float, c: float) -> bool:
     _drift_over_pull(p, c), in which case a fold contact at c throws the
     trajectory off the slow manifold (a spike).
     """
-    _check_positive("kappa", kappa)
-    if not (-1.0 <= c <= 1.0):
-        raise DomainError(f"envelope value must lie in [-1, 1], got {c}")
+    _positive("kappa", kappa)
     if c == -1.0 or c == 1.0:
         raise BandEdgeError(
             "escape test is undefined at the envelope extremes (the cross term "
             "vanishes and the inequality is vacuously false)")
-    fold_point(p, c)  # raises FoldUndefinedError where C_c has no fold
+    fold_point(p, c)  # refuses c outside [-1, 1], and raises where C_c has no fold
     return bool(kappa > _drift_over_pull(p, c))
 
 
@@ -197,7 +189,7 @@ def kappa_threshold(p: Params, tol: float = _KAPPA_TOL) -> float:
     refinement. Returns 0.0 (degenerate) if the drift is nonpositive anywhere,
     since then any kappa escapes.
     """
-    _check_positive("tol", tol)
+    _positive("tol", tol)
     _require_region(p, "kappa_threshold")
     cs = np.linspace(-1.0, 1.0, KAPPA_SCAN_POINTS)[1:-1]
     g = _drift_over_pull(p, cs)
@@ -280,9 +272,8 @@ def integrate_singular(p: Params, kappa: float, start_phase: float,
     fails it.
     """
     for name, x in (("kappa", kappa), ("horizon", horizon), ("ds", ds)):
-        _check_positive(name, x)
-    if not math.isfinite(start_phase):
-        raise DomainError(f"start_phase must be finite, got {start_phase}")
+        _positive(name, x)
+    _finite("start_phase", start_phase)
     _check_int("sample_stride", sample_stride, 1)
     c0 = math.cos(start_phase)
     if not abs(start.c - c0) <= 1e-9:
@@ -331,7 +322,7 @@ def predicts_no_tonic(p: Params, kappa: float, ds: float = DEFAULT_DS) -> bool:
     predicts no tonic spiking at this kappa for small timescale ratio; a fold
     contact refutes the prediction.
     """
-    _check_positive("kappa", kappa)
+    _positive("kappa", kappa)
     _require_region(p, "predicts_no_tonic")
     arc = integrate_singular(p, kappa, math.pi, _equilibrium_start(p, -1.0),
                              horizon=math.pi / kappa, ds=ds)
@@ -347,7 +338,7 @@ def escape_cycle_check(p: Params, kappa: float,
     one rising half-cycle. holds=True iff the rising arc contacts the fold
     where the escape inequality is satisfied.
     """
-    _check_positive("kappa", kappa)
+    _positive("kappa", kappa)
     _require_region(p, "escape_cycle_check")
     half = math.pi / kappa
     down = integrate_singular(p, kappa, 0.0, _equilibrium_start(p, 1.0),

@@ -181,6 +181,28 @@ def test_config_refuses_a_stride_that_is_no_integer(tmp_path, capsys):
     assert "samples=51" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("section, entry, key", [
+    # a string step once exited 1 with a bare TypeError
+    ("integrator", {"dt": "0.01"}, "dt"),
+    # booleans once ran as 1: a stride of 1, and epsilon = 1
+    ("integrator", {"stride": True}, "stride"),
+    ("params", {"epsilon": True}, "epsilon"),
+    ("params", {"A": "0.3"}, "A"),
+    ("drive", {"values": [True, False, True]}, "values"),
+])
+def test_config_refuses_values_that_are_no_numbers(tmp_path, capsys, section, entry, key):
+    cfg = {"params": {"A": 0.3, "B": 0.3, "beta": 0.8, "gamma": 0.5, "epsilon": 0.1},
+           "drive": {"kind": "custom_sampled", "values": [0.0, 0.5], "dt": 1.0},
+           "integrator": {"method": "fixed", "dt": 0.05, "stride": 2}}
+    cfg[section].update(entry)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--t-final", "5"]) == 2
+    captured = capsys.readouterr()
+    assert f"{key} must" in captured.err
+    assert "samples=" not in captured.out
+
+
 def test_config_drive_keys_take_flags_one_by_one(tmp_path, capsys):
     cfg = tmp_path / "drive.json"
     cfg.write_text(json.dumps({

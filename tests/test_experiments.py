@@ -43,7 +43,7 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=0.0, epsilon=0.02)
     # np.linspace takes only an integer count, so the spec checks it up front
-    for bad in (1, 2.5, 21.0, "21"):
+    for bad in (1, 2.5, 21.0, "21", True):
         with pytest.raises(DomainError, match="grid_points"):
             ft.GridSpec(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02,
                         grid_points=bad)
@@ -148,7 +148,8 @@ def test_panel_marks_diverged_cells_minus_one(tmp_path):
 
 def test_explicit_ic_refuses_non_finite_start():
     # a non-finite start once ran and marked every cell diverged
-    for v, w in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+    for v, w in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0),
+                 (True, 0.0), (0.0, "1")):
         with pytest.raises(DomainError, match="finite"):
             ft.ExplicitIC(ft.State(v, w))
 

@@ -189,7 +189,7 @@ def test_c_grid_size_validation():
     # np.linspace takes only an integer count, so the grid size is checked
     # where it is given
     p = std()
-    for bad in (2, 11.5, 1001.0, "11", None):
+    for bad in (2, 11.5, 1001.0, "11", None, True):
         with pytest.raises(DomainError, match="c_grid_size"):
             ft.classify_region(p, bad)
         with pytest.raises(DomainError, match="c_grid_size"):

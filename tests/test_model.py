@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ def test_custom_sampled_interpolates_and_clamps():
 def test_custom_sampled_validation():
     with pytest.raises(ConfigError):
         ft.CustomSampled(values=np.array([0.0, 1.5]), dt=1.0)
+    # refused before conversion, which read these as [1, 0, 1] and [0.5, -0.5]
+    for values in ([True, False, True], ["0.5", "-0.5"], [0.5, None]):
+        with pytest.raises(ConfigError, match="values") as exc:
+            ft.CustomSampled(values=values, dt=1.0)
+        assert exc.value.key == "values"
+    for values in ([0, 1], np.array([0, -1], dtype=np.int8), np.array([0.5, 1.0])):
+        assert ft.CustomSampled(values=values, dt=1.0).values.dtype == np.float64
     with pytest.raises(ConfigError):
         ft.CustomSampled(values=np.array([0.0]), dt=1.0)
     with pytest.raises(ConfigError):
@@ -227,3 +235,99 @@ def test_drive_from_dict_rejects_bad_keys():
         ft.drive_from_dict({"kind": "mystery"})
     with pytest.raises(ConfigError):
         ft.drive_from_dict({"eta": 0.5})
+
+
+_STD = dict(A=0.3, B=0.3, beta=0.8, gamma=0.5, epsilon=0.1)
+_P = ft.Params(**_STD)
+_EQ_TOP = ft.equilibrium(_P, 1.0)
+_TOP = ft.CubicPoint(v=_EQ_TOP.v_e, w=_EQ_TOP.w_e, c=1.0)
+# each range holds any of the good values (1, 3, 1) at its place
+_SWEEP = dict(amplitude_list=((0.3, 0.3),), kappa_range=(0.5, 4.0, 0.5),
+              epsilon_range=(0.02, 4.0, 0.02), t_final=10.0, beta=0.8, gamma=0.5)
+_GRID = dict(A=0.3, B=0.3, beta=0.8, gamma=0.5, kappa=1.0, epsilon=0.02)
+
+
+def _arc(**kw):
+    args = dict(kappa=2.0, start_phase=0.0, start=_TOP, horizon=1.0)
+    return ft.integrate_singular(_P, **{**args, **kw})
+
+
+def _ranged(name, i):
+    # a SweepSpec whose range `name` holds x at position i
+    def make(x):
+        rng = list(_SWEEP[name])
+        rng[i] = x
+        return ft.SweepSpec(**{**_SWEEP, name: tuple(rng)})
+    return make
+
+
+# (name in the message, builder of the setting x, an integer-valued good value,
+# whether x must also be > 0)
+_REAL_SETTINGS = [
+    *[(k, lambda x, k=k: ft.Params(**{**_STD, k: x}), 1, True) for k in _STD],
+    ("eta", lambda x: ft.AveragedCosine(eta=x), 1, True),
+    ("eta", lambda x: ft.SignCosine(eta=x), 1, True),
+    ("omega1", lambda x: ft.RawInterference(omega1=x, omega2=100.0), 1, True),
+    ("omega2", lambda x: ft.RawInterference(omega1=0.5, omega2=x), 1, True),
+    ("dt", lambda x: ft.CustomSampled(values=[0.0, 0.5], dt=x), 1, True),
+    ("c", lambda x: ft.FrozenConstant(c=x), 0, False),
+    ("A", lambda x: ft.effective_amplitudes(x, 0.3), 1, True),
+    ("B", lambda x: ft.effective_amplitudes(0.3, x), 1, True),
+    ("dt", lambda x: ft.FixedRK4(dt=x), 1, True),
+    *[(k, lambda x, k=k: ft.AdaptiveRK45(**{k: x}), 1, True)
+      for k in ("rel_tol", "abs_tol", "max_dt")],
+    *[(k, _ranged(k, i), g, True)
+      for k in ("kappa_range", "epsilon_range") for i, g in enumerate((1, 3, 1))],
+    *[(k, lambda x, k=k: ft.SweepSpec(**{**_SWEEP, k: x}), 1, True)
+      for k in ("t_final", "beta", "gamma")],
+    *[(k, lambda x, k=k: ft.GridSpec(**{**_GRID, k: x}), 1, True)
+      for k in ("A", "B", "beta", "gamma", "kappa", "epsilon", "t_final", "extent")],
+    ("state.v", lambda x: ft.ExplicitIC(ft.State(x, 0.0)), 0, False),
+    ("state.w", lambda x: ft.ExplicitIC(ft.State(0.0, x)), 0, False),
+    ("t0", lambda x: ft.simulate(_P, ft.FrozenConstant(0.0), ft.State(0, 0), 1.0, t0=x),
+     0, False),
+    # t_final need only exceed t0, and that check names it as well
+    ("t_final", lambda x: ft.simulate(_P, ft.FrozenConstant(0.0), ft.State(0, 0), x),
+     1, True),
+    ("ic.v", lambda x: ft.simulate(_P, ft.FrozenConstant(0.0), ft.State(x, 0), 1.0),
+     0, False),
+    ("ic.w", lambda x: ft.simulate(_P, ft.FrozenConstant(0.0), ft.State(0, x), 1.0),
+     0, False),
+    ("kappa", lambda x: _arc(kappa=x), 2, True),
+    ("start_phase", lambda x: _arc(start_phase=x), 0, False),
+    ("horizon", lambda x: _arc(horizon=x), 1, True),
+    ("ds", lambda x: _arc(ds=x), 1, True),
+    ("tol", lambda x: ft.kappa_threshold(_P, tol=x), 1, True),
+]
+
+_COUNT_SETTINGS = [
+    ("sample_stride", lambda x: ft.IntegratorConfig(sample_stride=x)),
+    ("grid_points", lambda x: ft.GridSpec(**_GRID, grid_points=x)),
+    ("sample_stride", lambda x: _arc(sample_stride=x)),
+    ("c_grid_size", lambda x: ft.classify_region(_P, c_grid_size=x)),
+]
+
+
+@pytest.mark.parametrize("name, make, good, positive", _REAL_SETTINGS,
+                         ids=[f"{k}-{i}" for i, (k, *_) in enumerate(_REAL_SETTINGS)])
+def test_every_numeric_setting_takes_only_finite_numbers(name, make, good, positive):
+    # a bool was once read as 1 or 0, and a string was read as its number or
+    # failed with a bare TypeError
+    bad = [True, False, "0.3", math.nan, math.inf, -math.inf, np.float64(math.nan)]
+    if positive:
+        bad += [0, -1, 0.0]
+    for x in bad:
+        with pytest.raises(ft.DomainError, match=re.escape(name)):
+            make(x)
+    for x in (good, np.int64(good), np.float64(good)):
+        make(x)
+
+
+@pytest.mark.parametrize("name, make", _COUNT_SETTINGS,
+                         ids=[f"{k}-{i}" for i, (k, _) in enumerate(_COUNT_SETTINGS)])
+def test_every_count_setting_takes_only_integers(name, make):
+    for x in (True, "3", 2.5, np.float64(3.0), 0, -1, None):
+        with pytest.raises(ft.DomainError, match=name):
+            make(x)
+    for x in (3, np.int64(3)):
+        make(x)

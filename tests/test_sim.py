@@ -31,14 +31,15 @@ def test_simulate_argument_checks():
     with pytest.raises(DomainError):
         ft.simulate(p, ft.FrozenConstant(c=0.0), ft.State(math.nan, 0.0),
                     t_final=1.0)
-    for t0, t_final in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0), (math.nan, 1.0)):
+    for t0, t_final in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0), (math.nan, 1.0),
+                        (True, 2.0), (0.0, "1.0")):
         with pytest.raises(DomainError, match="finite"):
             ft.simulate(p, ft.FrozenConstant(c=0.0), ft.State(0, 0), t_final, t0=t0)
 
 
 def test_integrator_config_refuses_a_stride_that_is_no_integer():
     # a stride of 2.5 once sampled where step % 2.5 == 0, every 5th step
-    for stride in (2.5, 2.0, "3", 0, -1):
+    for stride in (2.5, 2.0, "3", 0, -1, True):
         with pytest.raises(DomainError, match="sample_stride"):
             ft.IntegratorConfig(sample_stride=stride)
     for stride in (1, 7, np.int64(3)):

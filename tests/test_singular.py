@@ -134,7 +134,7 @@ def test_escaping_at_c_argument_checks():
         ft.escaping_at_c(p, 2.0, 1.5)
     with pytest.raises(DomainError):
         ft.escaping_at_c(p, 0.0, 0.5)
-    for kappa in (math.nan, math.inf):
+    for kappa in (math.nan, math.inf, True):
         # a NaN kappa once answered False
         with pytest.raises(DomainError, match="kappa"):
             ft.escaping_at_c(p, kappa, 0.5)
@@ -143,7 +143,7 @@ def test_escaping_at_c_argument_checks():
 def test_arc_checks_refuse_non_positive_kappa():
     # kappa = 0 once raised a bare ZeroDivisionError from the half-cycle pi/kappa
     p = std()
-    for kappa in (0.0, -1.0, math.nan):
+    for kappa in (0.0, -1.0, math.nan, True, "2.0"):
         for check in (ft.escape_cycle_check, ft.predicts_no_tonic, ft.evaluate_prediction):
             with pytest.raises(DomainError, match="kappa"):
                 check(p, kappa)
@@ -210,7 +210,7 @@ def test_kappa_threshold_requires_region():
     with pytest.raises(DomainError):
         ft.kappa_threshold(std(), tol=0.0)
     # a NaN tol skipped the refinement and changed kappa* in the 9th digit
-    for tol in (math.nan, math.inf):
+    for tol in (math.nan, math.inf, True, "1e-6"):
         with pytest.raises(DomainError, match="tol"):
             ft.kappa_threshold(std(), tol=tol)
 
@@ -305,7 +305,7 @@ def test_integrate_singular_start_validation():
         ft.integrate_singular(p, 1.0, math.pi, pt, horizon=-1.0)
     with pytest.raises(DomainError):
         ft.integrate_singular(p, 1.0, math.pi, pt, horizon=1.0, ds=0.0)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, True, "1.0"):
         with pytest.raises(DomainError, match="kappa"):
             ft.integrate_singular(p, bad, math.pi, pt, horizon=1.0)
         with pytest.raises(DomainError, match="horizon"):
@@ -316,7 +316,7 @@ def test_integrate_singular_start_validation():
         with pytest.raises(DomainError, match="start_phase"):
             ft.integrate_singular(p, 1.0, bad, pt, horizon=1.0)
     # a stride of 2.5 would sample every 5th step
-    for bad in (0, 2.5):
+    for bad in (0, 2.5, True):
         with pytest.raises(DomainError, match="sample_stride"):
             ft.integrate_singular(p, 1.0, math.pi, pt, horizon=1.0, sample_stride=bad)
     # every comparison with NaN is False, so a start check written as `>`
