@@ -13,8 +13,10 @@ adaptive dp45_trajectory still makes, six per attempt (first same as last).
 cosine_ensemble_spikes steps many sweep cells at once on numpy arrays, on the
 same time rule. A step writes into buffers allocated once per call, the state
 laid out [r*v | v | w | -beta], n values a block, so its cost at a few cells
-is the count of numpy calls: 45 a step for the RK4 stages, against about 80
-on fresh arrays, and two for the spike count. Spikes are not counted step by
+is the count of numpy calls: 45 a step for the RK4 stages and the stored v
+row, against about 80 on fresh arrays, and two for the spike count. Its
+scalar operands are 0-d float64 arrays, which numpy does not convert anew
+on every call as it does a Python float. Spikes are not counted step by
 step: the v row of a block of steps is stored, and the hysteresis is
 evaluated over the block afterwards, with the detector state carried from
 block to block. Every elementwise operation is the scalar kernel's, in its
@@ -382,17 +384,17 @@ def _count_block(v, fire, arm, counts, armed):
     disarmed. The comparisons run over the whole block at once; the
     detector state takes two calls per stored step.
     """
-    m = len(v)
     up = v >= fire
     down = v < arm
-    s = np.empty((m + 1, len(armed)), dtype=bool)
+    s = np.empty((len(v) + 1, len(armed)), dtype=bool)
     s[0] = armed
-    for j in range(m):
+    lor, gt = np.logical_or, np.greater
+    for before, after, down_j, up_j in zip(s, s[1:], down, up):
         # armed after step j: (armed before it or v < arm) and not v >= fire
-        np.logical_or(s[j], down[j], out=s[j + 1])
-        np.greater(s[j + 1], up[j], out=s[j + 1])
+        lor(before, down_j, out=after)
+        gt(after, up_j, out=after)
     counts += np.count_nonzero(s[:-1] > s[1:], axis=0)
-    armed[:] = s[m]
+    armed[:] = s[-1]
 
 
 def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt, fire):
@@ -402,11 +404,17 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
     are shared, so every cell takes the same steps, on rk4_trajectory's time
     rule. The state X and the stage state S are laid out [r*v | v | w | -beta]
     and the four stage arrays [kv | kw], n values a block, all allocated once
-    per call; a stage's right-hand side is 8 ufunc calls on them (see rhs),
-    and the stage states, stage sums and final update take one call each on
-    [v | w]. Every elementwise operation is the scalar kernel's, on its
-    operands and in its order, so it rounds as the scalar kernel does. The v
-    row of each block of steps is stored and counted after the block by
+    per call; a stage's right-hand side is 8 ufunc calls on them, and the
+    stage states, stage sums and final update take one call each on [v | w],
+    so with the stored v row a step makes 45 numpy calls. The four stages are
+    written out on views sliced once per call, and the scalar operands (3.0,
+    2.0 and the step's h/2, h and h/6) are 0-d float64 arrays, made once per
+    call and again for a clipped last step: numpy converts a Python float
+    operand anew on every call, which at a few cells costs about as much as
+    the arithmetic. A 0-d float64 operand runs the float64 loop the converted
+    float runs, and every elementwise operation is the scalar kernel's, on
+    its operands and in its order, so it rounds as the scalar kernel does.
+    The v row of each block of steps is stored and counted after the block by
     _count_block, which carries the detector state into the next block, so
     the counts are those of a per-step update and equal cosine_cell_spikes'
     cell by cell. A non-finite RK4 state stays non-finite, so a cell whose
@@ -432,26 +440,18 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
     S = X.copy()
     K = np.empty((4, 2 * n))
     stored = np.empty((min(block, nst), n))
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    mul, add, sub, div, copyto = np.multiply, np.add, np.subtract, np.divide, np.copyto
     K1, K2, K3, K4 = K
-    Xv, Xvw, Svw, K23 = X[n:2 * n], X[n:3 * n], S[n:3 * n], K[1:3]
-    x_parts, s_parts = ((a[:n], a[n:2 * n], a[2 * n:3 * n], a[:2 * n], a[2 * n:])
-                        for a in (X, S))
-    k_parts = [(k, k[:n], k[n:]) for k in K]
-
-    def rhs(r, x, k):
-        # k = [r*v - v*v*v/3.0 - w | eps*(v - gamma*w + beta)] at the state x;
-        # k holds [v*v*v/3.0 | gamma*w] first, and x - (-beta) is x + beta
-        (rv, xv, xw, rv_v, w_nb), (k, kv, kw) = x, k
-        mul(xv, xv, kv)
-        mul(kv, xv, kv)
-        div(kv, 3.0, kv)
-        mul(gamma, xw, kw)
-        mul(r, xv, rv)
-        sub(rv_v, k, k)
-        sub(k, w_nb, k)
-        mul(eps, kw, kw)
-
+    (K1v, K2v, K3v, K4v), (K1w, K2w, K3w, K4w) = K[:, :n], K[:, n:]
+    K23 = K[1:3]
+    Xr, Xv, Xw, Xvw, Xrv, Xwb = (X[:n], X[n:2 * n], X[2 * n:3 * n], X[n:3 * n],
+                                 X[:2 * n], X[2 * n:])
+    Sr, Sv, Sw, Svw, Srv, Swb = (S[:n], S[n:2 * n], S[2 * n:3 * n], S[n:3 * n],
+                                 S[:2 * n], S[2 * n:])
+    three, two = np.array(3.0), np.array(2.0)
+    h_now = None
+    # each stage: k = [r*v - v*v*v/3.0 - w | eps*(v - gamma*w + beta)] at the
+    # state; k holds [v*v*v/3.0 | gamma*w] first, and x - (-beta) is x + beta
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nst, block):
             t = np.arange(start, min(start + block, nst)) * dt
@@ -460,25 +460,55 @@ def cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm, t_final, dt
                                      for ts in (t, t + hs / 2.0, t + hs))
             vs = stored[:len(t)]
             for h, r1, r2, r4, v_after in zip(hs.tolist(), r_start, r_mid, r_end, vs):
-                hh = h / 2.0
-                rhs(r1, x_parts, k_parts[0])
+                if h != h_now:
+                    h_now = h
+                    hh, hv, h6 = np.array(h / 2.0), np.array(h), np.array(h / 6.0)
+                mul(Xv, Xv, K1v)
+                mul(K1v, Xv, K1v)
+                div(K1v, three, K1v)
+                mul(gamma, Xw, K1w)
+                mul(r1, Xv, Xr)
+                sub(Xrv, K1, K1)
+                sub(K1, Xwb, K1)
+                mul(eps, K1w, K1w)
                 mul(K1, hh, Svw)
                 add(Xvw, Svw, Svw)
-                rhs(r2, s_parts, k_parts[1])
+                mul(Sv, Sv, K2v)
+                mul(K2v, Sv, K2v)
+                div(K2v, three, K2v)
+                mul(gamma, Sw, K2w)
+                mul(r2, Sv, Sr)
+                sub(Srv, K2, K2)
+                sub(K2, Swb, K2)
+                mul(eps, K2w, K2w)
                 mul(K2, hh, Svw)
                 add(Xvw, Svw, Svw)
-                rhs(r2, s_parts, k_parts[2])
-                mul(K3, h, Svw)
+                mul(Sv, Sv, K3v)
+                mul(K3v, Sv, K3v)
+                div(K3v, three, K3v)
+                mul(gamma, Sw, K3w)
+                mul(r2, Sv, Sr)
+                sub(Srv, K3, K3)
+                sub(K3, Swb, K3)
+                mul(eps, K3w, K3w)
+                mul(K3, hv, Svw)
                 add(Xvw, Svw, Svw)
-                rhs(r4, s_parts, k_parts[3])
+                mul(Sv, Sv, K4v)
+                mul(K4v, Sv, K4v)
+                div(K4v, three, K4v)
+                mul(gamma, Sw, K4w)
+                mul(r4, Sv, Sr)
+                sub(Srv, K4, K4)
+                sub(K4, Swb, K4)
+                mul(eps, K4w, K4w)
                 # X + h/6*(((K1 + 2*K2) + 2*K3) + K4), as the scalar kernel sums
-                mul(K23, 2.0, K23)
+                mul(K23, two, K23)
                 add(K1, K2, K1)
                 add(K1, K3, K1)
                 add(K1, K4, K1)
-                mul(K1, h / 6.0, K1)
+                mul(K1, h6, K1)
                 add(Xvw, K1, Xvw)
-                v_after[...] = Xv
+                copyto(v_after, Xv)
             _count_block(vs, fire, arm, counts, armed)
     counts[~np.isfinite(Xvw.reshape(2, n)).all(axis=0)] = -1
     return counts.reshape(shape)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from ._version import __version__
-from .errors import DomainError, RegionPreconditionError
+from .errors import ConfigError, DomainError, RegionPreconditionError
 from .frozen import classify_region, equilibrium
 from .model import Params, State, _check_int, _finite, _positive
 from .sim import (DEFAULT_CONFIG, _FIRE_LEVEL, FixedRK4, IntegratorConfig, _is_tonic,
@@ -80,8 +80,23 @@ class SweepSpec:
     integrator: IntegratorConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if not self.amplitude_list:
+        # kept as a tuple, so that checking the pairs does not use up an
+        # iterator; what is not iterable is refused below as no pair
+        try:
+            pairs = tuple(self.amplitude_list)
+        except TypeError:
+            pairs = (self.amplitude_list,)
+        object.__setattr__(self, "amplitude_list", pairs)
+        if not pairs:
             raise DomainError("amplitude_list must be nonempty")
+        for pair in pairs:
+            try:
+                A, B = pair
+            except (TypeError, ValueError):
+                raise ConfigError(f"amplitude_list must hold (A, B) pairs, got {pair!r}",
+                                  key="amplitude_list") from None
+            _positive("A", A)
+            _positive("B", B)
         for name in ("kappa_range", "epsilon_range"):
             lo, hi, step = (_positive(name, x) for x in getattr(self, name))
             if not lo <= hi:

@@ -165,12 +165,15 @@ def count_spikes(traj: Trajectory, arm_level: Optional[float] = None,
 
     The detector starts armed, so a start with v already at or above the fire
     level counts as a spike at the first sample. Default arm level is half the
-    resting depth, v_e(-1)/2, computed from the trajectory's parameters.
+    resting depth, v_e(-1)/2, computed from the trajectory's parameters. Both
+    levels must be finite numbers (ConfigError naming the level otherwise),
+    the arm level below the fire level.
     """
     if traj.v.size == 0:
         raise EmptyTrajectoryError("cannot count spikes on an empty trajectory")
-    if arm_level is None:
-        arm_level = default_arm_level(traj.params)
+    fire_level = _finite("fire_level", fire_level)
+    arm_level = (default_arm_level(traj.params) if arm_level is None
+                 else _finite("arm_level", arm_level))
     if not (arm_level < fire_level):
         raise DomainError(
             f"arm_level must be below fire_level, got {arm_level} >= {fire_level}")

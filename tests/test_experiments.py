@@ -6,7 +6,7 @@ import pytest
 
 import fhn_tis as ft
 from fhn_tis import _kernels, experiments
-from fhn_tis.errors import DomainError, RegionPreconditionError
+from fhn_tis.errors import ConfigError, DomainError, RegionPreconditionError
 from fhn_tis.experiments import _axis
 from fhn_tis.singular import _escape_floor, escape_cycle_check, predicts_no_tonic
 from test_singular import in_region_draws
@@ -34,6 +34,17 @@ def test_axis_construction():
 def test_spec_validation():
     with pytest.raises(DomainError):
         tiny_spec(amplitude_list=())
+    # every pair is checked at construction, not when the run reaches its panel
+    for pairs, key in ((((0.3, 0.3), (True, 0.3)), "A"), (((0.3, 0.3), (0.3, "0.3")), "B"),
+                       (((0.3, 0.3), (0.3, math.nan)), "B"), (((0.3, -0.3),), "B"),
+                       (((0.3, 0.3, 0.3),), "amplitude_list"), (((0.3,),), "amplitude_list"),
+                       ((0.3, 0.3), "amplitude_list"), (0.3, "amplitude_list")):
+        with pytest.raises(ConfigError) as exc:
+            tiny_spec(amplitude_list=pairs)
+        assert exc.value.key == key, pairs
+    # the pairs are kept as a tuple, so an iterator is not used up by the check
+    spec = tiny_spec(amplitude_list=((a, a) for a in (0.3,)))
+    assert spec.amplitude_list == ((0.3, 0.3),)
     with pytest.raises(DomainError):
         tiny_spec(kappa_range=(1.0, 3.0, 0.0))
     with pytest.raises(DomainError):

@@ -161,6 +161,64 @@ def test_ensemble_matches_scalar_cell_kernel():
     assert {1, 2} <= diverged
 
 
+def test_ensemble_remakes_step_constants_for_each_step_length():
+    # 18 cells, the experiments benchmark's grid size, over t_final = 10 + dt/3:
+    # the last step lasts a third of dt, so its h/2, h and h/6 are made anew;
+    # the second call's dt is below the first call's last step, so constants
+    # kept from the first call would also show. Cell 0 is on its first
+    # upstroke at the end, and the fire level sits a quarter of the way from
+    # its final v to the v after one more full step: a last step of full
+    # length, or a first step of the previous call's length, carries it past
+    # the fire level and adds a spike
+    A, B, beta, gamma, eps, eta = 0.3, 0.3, 0.8, 0.5, 0.1, 0.02
+    rng = np.random.default_rng(227)
+    v0 = rng.uniform(-2.0, 2.0, 18)
+    w0 = rng.uniform(-1.5, 0.5, 18)
+    v0[0], w0[0] = -1.7, -0.6
+    for dt in (0.01, 0.002):
+        t_final = 10.0 + dt / 3.0
+
+        def v_samples(t_end):
+            return fast.rk4_trajectory(fast.DRIVE_COSINE, eta, 0.0, (), 1.0, A, B, beta,
+                                       gamma, eps, v0[0], w0[0], 0.0, t_end, dt, 1)[1]
+
+        v = v_samples(t_final)
+        gap = v_samples(10.0 + dt)[-1] - v[-1]
+        assert gap > 0.0 and v[:-1].max() < v[-1]
+        fire = float(v[-1] + gap / 4.0)
+        arm = np.full(18, fire - 1.0)
+        counts = fast.cosine_ensemble_spikes(A, B, beta, gamma, eps, eta, v0, w0, arm,
+                                             t_final, dt, fire)
+        ref = [fast.cosine_cell_spikes(A, B, beta, gamma, eps, eta, float(v0[i]),
+                                       float(w0[i]), t_final, dt, fire, fire - 1.0)
+               for i in range(18)]
+        assert counts.tolist() == [c if ok else -1 for c, ok in ref]
+        assert counts[0] == 0 and counts.max() >= 1
+
+
+def test_ensemble_step_makes_45_numpy_calls(monkeypatch):
+    # at a few cells a step costs what its numpy calls cost; the kernel binds
+    # these five functions at call time, so counting wrappers see every call.
+    # Per-call and per-block calls cancel in the difference of two runs that
+    # take one block each
+    calls = []
+    for name in ("multiply", "add", "subtract", "divide", "copyto"):
+        def counted(*args, _f=getattr(np, name), **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+
+    def run(steps):
+        calls.clear()
+        fast.cosine_ensemble_spikes(0.3, 0.3, 0.8, 0.5, 0.1, 0.02, np.linspace(-2.0, 2.0, 18),
+                                    -0.6, -0.5, steps * 0.25, 0.25, 0.0)
+        return len(calls)
+
+    k = 64
+    assert 2 * k * 18 <= fast._ENSEMBLE_BLOCK
+    assert (run(2 * k) - run(k)) / k == 45
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_ensemble_counts_across_block_boundaries(monkeypatch, block):
     # the ensemble counts each block of stored steps at once, carrying the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fhn_tis as ft
-from fhn_tis.errors import DivergenceError, DomainError, EmptyTrajectoryError
+from fhn_tis.errors import ConfigError, DivergenceError, DomainError, EmptyTrajectoryError
 
 import oracles
 
@@ -266,6 +266,17 @@ def test_count_spikes_edge_cases():
         ft.count_spikes(synthetic(np.zeros(5)), arm_level=0.5, fire_level=0.0)
     with pytest.raises(DomainError):
         ft.count_spikes(synthetic(np.zeros(5)), arm_level=0.0, fire_level=0.0)
+
+
+@pytest.mark.parametrize("key", ["arm_level", "fire_level"])
+@pytest.mark.parametrize("bad", [True, False, "0", math.nan, math.inf])
+def test_count_spikes_refuses_levels_that_are_no_finite_numbers(key, bad):
+    # a bool once ran as 1.0 or 0.0, and "0" failed with a bare TypeError
+    levels = dict(arm_level=-0.5, fire_level=0.0)
+    levels[key] = bad
+    with pytest.raises(ConfigError, match=key) as exc:
+        ft.count_spikes(synthetic(np.zeros(5)), **levels)
+    assert exc.value.key == key
 
 
 def test_count_spikes_default_arm_level():
