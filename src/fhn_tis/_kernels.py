@@ -27,10 +27,13 @@ state, and a diverged cell counts -1. spike_scan makes one pass over the
 samples as Python floats.
 
 transport_arc carries a slow-limit arc on a fixed s-grid, one RK4 step at a
-time. A step makes four cubic roots (three warm-started Newton roots and the
-closed-form end root, which the next step reuses as its first stage), checks
-each of its five stage roots with one chained comparison, and makes five
-Python-function calls in all.
+time. A step makes four cubic roots: its three inner stages are one loop
+that runs a warm-started Newton root inline, and the closed-form end root is
+reused by the next step as its first stage. Each of the five stage roots is
+checked with one chained comparison, and the step calls no other function
+unless Newton's root is not certified (then leftmost_cubic_root) or a check
+fails. leftmost_cubic_roots is the closed-form root over an array of p at
+one q, bit for bit the scalar's, for the frozen band's equilibria.
 
 rk4_trajectory, dp45_trajectory and transport_arc append their samples to
 Python lists and return them as float64 arrays of exactly the samples taken;
@@ -62,6 +65,10 @@ TERM_ORIGIN = 3
 
 _ORIGIN_TOL = 1e-9
 
+_FOUR_PI = 4.0 * math.pi
+# leftmost_cubic_root's Newton polish: at most three steps
+_POLISH = range(3)
+
 
 def _arrays(*samples):
     """The sample lists as a tuple of float64 arrays, each of its list's length."""
@@ -77,33 +84,79 @@ def leftmost_cubic_root(p, q):
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     if disc > 0.0:
         sq = math.sqrt(disc)
-        u = np.cbrt(-q / 2.0 + sq)
-        v = np.cbrt(-q / 2.0 - sq)
-        # a float, not np.float64: numpy scalars would slow every caller's
-        # arithmetic
-        root = float(u + v)
+        # Python floats: the sum stays quiet where the roots are inf and -inf,
+        # and numpy scalars would slow every caller's arithmetic
+        root = float(np.cbrt(-q / 2.0 + sq)) + float(np.cbrt(-q / 2.0 - sq))
     else:
         m = 2.0 * math.sqrt(-p / 3.0)
         if m == 0.0:
             # disc <= 0 with p = 0 forces q = 0: triple root at the origin
             return 0.0
-        arg = 3.0 * q / (p * m)
+        pm = p * m
+        if pm == 0.0:
+            # p*m underflows, and so may disc: solve the cubic scaled exactly
+            # by a power of two, t = 2**e * u, with |p|/4**e < 2 and, unless q
+            # is 0 or NaN, |q|/8**e < 4
+            e = math.frexp(p)[1] // 2
+            if abs(q) > 0.0:
+                e = max(e, math.frexp(q)[1] // 3)
+            return math.ldexp(leftmost_cubic_root(math.ldexp(p, -2 * e),
+                                                  math.ldexp(q, -3 * e)), e)
+        arg = 3.0 * q / pm
         if arg > 1.0:
             arg = 1.0
         elif arg < -1.0:
             arg = -1.0
         # of the roots m*cos((th - 2*pi*k)/3), k = 0, 1, 2, the leftmost is k = 2
-        root = m * math.cos((math.acos(arg) - 4.0 * math.pi) / 3.0)
-    for _ in range(3):
+        root = m * math.cos((math.acos(arg) - _FOUR_PI) / 3.0)
+    for _ in _POLISH:
         f = root * root * root + p * root + q
         fp = 3.0 * root * root + p
         if fp == 0.0:
             break
         step = f / fp
         root -= step
-        if abs(step) < 1e-15 * max(1.0, abs(root)):
+        # |step| < 1e-15 * max(1.0, |root|), with max's 1.0 for a NaN root
+        b = 1e-15 * root
+        if -1e-15 < step < 1e-15 or -b < step < b or b < step < -b:
             break
     return root
+
+
+def leftmost_cubic_roots(p, q):
+    """leftmost_cubic_root(x, q) for every x of the array p, bit for bit.
+
+    The Cardano elements (positive discriminant) are computed as arrays: numpy's
+    elementwise arithmetic, sqrt and cbrt round as the scalar's Python floats,
+    math.sqrt and np.cbrt on a scalar do. The cube of p/3 is Python's float **,
+    which numpy's power does not match in every last bit, and the Newton polish
+    stops each element where the scalar loop stops it. The other elements go
+    through leftmost_cubic_root, since np.arccos does not round as math.acos
+    does. Returns a new float64 array.
+    """
+    shape = np.shape(p)
+    p = np.asarray(p, dtype=np.float64).ravel()
+    root = np.empty_like(p)
+    disc = (q / 2.0) ** 2 + np.array([x ** 3 for x in (p / 3.0).tolist()])
+    cardano = disc > 0.0
+    idx = np.flatnonzero(~cardano)
+    root[idx] = [leftmost_cubic_root(x, q) for x in p[idx].tolist()]
+    idx = np.flatnonzero(cardano)
+    pc = p[idx]
+    with np.errstate(all="ignore"):
+        sq = np.sqrt(disc[idx])
+        t = np.cbrt(-q / 2.0 + sq) + np.cbrt(-q / 2.0 - sq)
+        for _ in _POLISH:
+            f = t * t * t + pc * t + q
+            fp = 3.0 * t * t + pc
+            go = fp != 0.0
+            step = f[go] / fp[go]
+            t[go] -= step
+            root[idx] = t
+            # the elements whose loop goes on: a step, and not yet a small one
+            go[go] = ~(np.abs(step) < 1e-15 * np.fmax(1.0, np.abs(t[go])))
+            idx, pc, t = idx[go], pc[go], t[go]
+    return root.reshape(shape)
 
 
 def _envelope_value(code, par1, cs, cs_dt, t):
@@ -535,35 +588,13 @@ def spike_scan(v, fire, arm):
     return np.array(idx, dtype=np.int64)
 
 
-# a warm-started Newton root is tried for this many iterations, and counts as
+# a warm-started Newton root is tried for these 8 iterations, and counts as
 # converged once its step falls below this size; convergence is quadratic
 # there, so the root is then correct to rounding
-_WARM_ITERS = 8
+_WARM = range(8)
 _WARM_STEP_TOL = 1e-13
-
-
-def _warm_root(p, q, t):
-    """leftmost_cubic_root(p, q), by Newton from the guess t where certified.
-
-    Newton on t**3 + p*t + q = 0 is kept when it converges to a t < 0 with
-    3*t**2 + p > 0, that is left of the local maximum at -sqrt(-p/3) (or
-    anywhere if p >= 0): the cubic rises strictly there and has exactly one
-    root, which is therefore the leftmost root. Otherwise, when it stalls,
-    fails to converge or converges to another root, the closed form
-    leftmost_cubic_root computes the root.
-    """
-    for _ in range(_WARM_ITERS):
-        tt = t * t
-        fp = 3.0 * tt + p
-        if fp == 0.0:
-            break
-        step = ((tt + p) * t + q) / fp
-        t -= step
-        if -_WARM_STEP_TOL < step < _WARM_STEP_TOL:
-            if t < 0.0 and 3.0 * t * t + p > 0.0:
-                return t
-            break
-    return leftmost_cubic_root(p, q)
+_NEG_INF = -math.inf
+_cos = math.cos
 
 
 def _failed_stage(v, w0, v0, rc0):
@@ -576,41 +607,56 @@ def _failed_stage(v, w0, v0, rc0):
 def _transport_rk4(rho, AB, beta, gamma, kappa, phi0, s, w, v, rc, h, tol_denom):
     """One RK4 step of dw/ds = v - gamma*w + beta from the root v at (s, w).
 
-    rc is the gain at s. Each inner stage recovers its v as the leftmost root
-    of its cubic, warm-started from the stage before (_warm_root); the root
-    at the step's end comes from leftmost_cubic_root. Every stage's v and that
-    root must pass one chained check: finite, at or below -_ORIGIN_TOL, and
-    with gain - v**2 not above -tol_denom (a NaN gain or tolerance passes this
-    last test). Returns (status, w_new, v_new, rc_new): status 1 with the end
-    state, its root and gain; or, at the first failing v, status -1 where
-    |v| < _ORIGIN_TOL (origin collapse) and 0 otherwise (fold contact), with
-    the start state.
+    rc is the gain at s. The three inner stages are one loop over (stage
+    coefficient, gain, sum weight): each recovers its v as the leftmost root
+    of its cubic t**3 + p*t + q, p = -3*gain, by Newton warm-started from the
+    stage before. Newton's root is kept when it converges to a t < 0 with
+    3*t**2 + p > 0, that is left of the local maximum at -sqrt(-p/3) (or
+    anywhere if p >= 0): the cubic rises strictly there and has exactly one
+    root, which is therefore the leftmost root. Otherwise, when it stalls,
+    fails to converge or converges to another root, leftmost_cubic_root
+    computes the root. The root at the step's end always comes from
+    leftmost_cubic_root. Every stage's v and that root must pass one chained
+    check: finite, at or below -_ORIGIN_TOL, and with gain - v**2 not above
+    -tol_denom (a NaN gain or tolerance passes this last test). The stage
+    slopes are summed as ((k1 + 2*k2) + 2*k3) + k4. Returns (status, w_new,
+    v_new, rc_new): status 1 with the end state, its root and gain; or, at
+    the first failing v, status -1 where |v| < _ORIGIN_TOL (origin collapse)
+    and 0 otherwise (fold contact), with the start state.
     """
-    if not (-math.inf < v <= -_ORIGIN_TOL and not rc - v * v > -tol_denom):
+    if not (_NEG_INF < v <= -_ORIGIN_TOL and not rc - v * v > -tol_denom):
         return _failed_stage(v, w, v, rc)
-    k1 = v - gamma * w + beta
-    rc_mid = rho - AB * math.cos(phi0 + kappa * (s + h / 2.0))
-    p = -3.0 * rc_mid
-    w2 = w + h / 2.0 * k1
-    v2 = _warm_root(p, 3.0 * w2, v)
-    if not (-math.inf < v2 <= -_ORIGIN_TOL and not rc_mid - v2 * v2 > -tol_denom):
-        return _failed_stage(v2, w, v, rc)
-    k2 = v2 - gamma * w2 + beta
-    w3 = w + h / 2.0 * k2
-    v3 = _warm_root(p, 3.0 * w3, v2)
-    if not (-math.inf < v3 <= -_ORIGIN_TOL and not rc_mid - v3 * v3 > -tol_denom):
-        return _failed_stage(v3, w, v, rc)
-    k3 = v3 - gamma * w3 + beta
-    rc_end = rho - AB * math.cos(phi0 + kappa * (s + h))
-    p = -3.0 * rc_end
-    w4 = w + h * k3
-    v4 = _warm_root(p, 3.0 * w4, v3)
-    if not (-math.inf < v4 <= -_ORIGIN_TOL and not rc_end - v4 * v4 > -tol_denom):
-        return _failed_stage(v4, w, v, rc)
-    k4 = v4 - gamma * w4 + beta
-    w_new = w + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k = v - gamma * w + beta
+    ksum = k
+    t = v
+    hh = h / 2.0
+    rc_mid = rho - AB * _cos(phi0 + kappa * (s + hh))
+    rc_end = rho - AB * _cos(phi0 + kappa * (s + h))
+    for coef, gain, weight in ((hh, rc_mid, 2.0), (hh, rc_mid, 2.0), (h, rc_end, 1.0)):
+        p = -3.0 * gain
+        ws = w + coef * k
+        q = 3.0 * ws
+        # no converged step yet: -inf stays if fp == 0.0 stops the first iteration
+        step = _NEG_INF
+        for _ in _WARM:
+            tt = t * t
+            fp = 3.0 * tt + p
+            if fp == 0.0:
+                break
+            step = ((tt + p) * t + q) / fp
+            t -= step
+            if -_WARM_STEP_TOL < step < _WARM_STEP_TOL:
+                break
+        if not (-_WARM_STEP_TOL < step < _WARM_STEP_TOL and t < 0.0
+                and 3.0 * t * t + p > 0.0):
+            t = leftmost_cubic_root(p, q)
+        if not (_NEG_INF < t <= -_ORIGIN_TOL and not gain - t * t > -tol_denom):
+            return _failed_stage(t, w, v, rc)
+        k = t - gamma * ws + beta
+        ksum += weight * k
+    w_new = w + h / 6.0 * ksum
     v_new = leftmost_cubic_root(p, 3.0 * w_new)
-    if not (-math.inf < v_new <= -_ORIGIN_TOL and not rc_end - v_new * v_new > -tol_denom):
+    if not (_NEG_INF < v_new <= -_ORIGIN_TOL and not rc_end - v_new * v_new > -tol_denom):
         return _failed_stage(v_new, w, v, rc)
     return 1, w_new, v_new, rc_end
 
@@ -625,16 +671,16 @@ def transport_arc(A, B, beta, gamma, kappa, phi0, w0, horizon, ds, tol_denom, st
     the step length), completion of a rising half-cycle at envelope value +1,
     origin collapse, or the horizon.
 
-    Each step (_transport_rk4) makes four cubic roots in five Python-function
-    calls: the step, three warm roots and one closed-form root. The three
-    inner stages are Newton warm-started from the stage before, and a root is
-    kept only when _warm_root certifies it as the leftmost one; otherwise
-    leftmost_cubic_root computes it. The root at the step's end is always
-    leftmost_cubic_root, so a step depends on (s, w) alone and arcs that meet
-    on the grid stay together; it is reused as the next step's first stage
-    and as the stored sample's v. Each stage's check is one chained
-    comparison; tests/oracles.py keeps the stage-wise step as the reference
-    the arcs are compared with bit for bit.
+    Each step (_transport_rk4) makes four cubic roots in two Python-function
+    calls: the step and the closed-form end root. The three inner stages are
+    one loop, each stage's root by Newton warm-started from the stage before
+    and written inline, kept only when certified as the leftmost root;
+    otherwise leftmost_cubic_root computes it. The root at the step's end is
+    always leftmost_cubic_root, so a step depends on (s, w) alone and arcs
+    that meet on the grid stay together; it is reused as the next step's
+    first stage and as the stored sample's v. Each stage's check is one
+    chained comparison; tests/oracles.py keeps the stage-wise step as the
+    reference the arcs are compared with bit for bit.
 
     Returns (s, v, w, c, term_code): float64 arrays of the samples (the
     start, every stride-th grid point, each leg boundary, where the envelope

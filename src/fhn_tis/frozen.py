@@ -86,10 +86,10 @@ def fold_point(p: Params, c: float) -> FoldPoint:
     return FoldPoint(c=c, v_m=-math.sqrt(r), w_m=-(2.0 / 3.0) * r ** 1.5)
 
 
-def _v_e(p: Params, r: float) -> float:
-    # leftmost root of v**3 - 3*(r - 1/gamma)*v + 3*beta/gamma = 0 at gain r
-    return float(_kernels.leftmost_cubic_root(-3.0 * (r - 1.0 / p.gamma),
-                                              3.0 * p.beta / p.gamma))
+def _equilibrium_cubic(p: Params, r):
+    # (P, Q) of v**3 + P*v + Q = 0, whose leftmost root is the leftmost
+    # equilibrium v_e at gain r (a float or an array)
+    return -3.0 * (r - 1.0 / p.gamma), 3.0 * p.beta / p.gamma
 
 
 def _unique_at(p: Params, r):
@@ -115,7 +115,7 @@ def is_les(p: Params, c: float) -> bool:
 def equilibrium(p: Params, c: float) -> EquilibriumInfo:
     """Leftmost equilibrium of the frozen system at envelope value c."""
     r = effective_gain(p, c)
-    v_e = _v_e(p, r)
+    v_e = float(_kernels.leftmost_cubic_root(*_equilibrium_cubic(p, r)))
     w_e = (v_e + p.beta) / p.gamma
     unique = _unique_at(p, r)
     les = _les_at(p, r, v_e)
@@ -143,12 +143,14 @@ def _band(p: Params, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the leftmost equilibria v_e(c), as read-only arrays.
 
     Memoised on the Params and n, so the region checks of one verdict chain
-    and frozen_table share one band of n scalar cubic roots; every caller
-    passes n by position, which keeps them on one cache entry.
+    and frozen_table share one band; every caller passes n by position, which
+    keeps them on one cache entry. The band's roots are one array call,
+    _kernels.leftmost_cubic_roots, whose values equal equilibrium's scalar
+    roots bit for bit.
     """
     cs = np.linspace(-1.0, 1.0, n)
     r = _gain(p, cs)
-    v_e = np.array([_v_e(p, x) for x in r.tolist()])
+    v_e = _kernels.leftmost_cubic_roots(*_equilibrium_cubic(p, r))
     for a in (cs, r, v_e):
         a.flags.writeable = False
     return cs, r, v_e

@@ -202,7 +202,7 @@ def test_c_grid_size_validation():
 
 
 def test_classify_region_and_frozen_table_share_one_band():
-    # one band of scalar cubic roots per (Params, grid size): every region
+    # one band of cubic roots per (Params, grid size): every region
     # check of a verdict chain, however the grid size is passed, reads the
     # band the first grid test computed, and the table copies it; the shared
     # arrays are read-only, and writing to the table leaves them as they are
@@ -283,6 +283,26 @@ PINNED_FALSE_NEGATIVES = (
     (0.6360138144273241, 0.6295173665042134, 0.6618246680727838, 0.5112990935888833),
     (0.6050245785773143, 0.6788683483458902, 0.5238472974341889, 0.8285191618218088),
 )
+
+
+def test_band_roots_match_scalar_equilibria():
+    # the band's one array call against equilibrium's scalar root at every c,
+    # bit for bit: seeded draws over the benchmark's parameter box, a few of
+    # whose bands hold three equilibria at some c (the trigonometric branch),
+    # the three pinned points, and a point with three equilibria at every c
+    from fhn_tis import frozen
+    rng = np.random.default_rng(149)
+    draws = [tuple(float(x) for x in rng.uniform((0.05, 0.05, 0.1, 0.2), (0.7, 0.7, 1.5, 2.0)))
+             for _ in range(120)]
+    mixed = 0
+    for A, B, beta, gamma in draws + list(PINNED_FALSE_NEGATIVES) + [(0.3, 0.3, 0.1, 2.0)]:
+        p = std(A=A, B=B, beta=beta, gamma=gamma, epsilon=0.05)
+        cs, r, v_e = frozen._band(p, 1001)
+        ref = np.array([ft.equilibrium(p, c).v_e for c in cs.tolist()])
+        assert v_e.view(np.int64).tolist() == ref.view(np.int64).tolist(), (A, B, beta, gamma)
+        unique = frozen._unique_at(p, r)
+        mixed += bool(unique.any() and not unique.all())
+    assert mixed >= 3 and not unique.any()
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,15 +1,18 @@
 """Kernel paths that must compute the same numbers: the closed-form cubic
-root against bisection, the numpy ensemble cell counter against the scalar
-one, the warm-started cubic root of the arc transport against the
-closed-form one, the flat arc-transport step against a stage-wise reference,
-the table-driven RK4 stepper against a stage-wise reference, the DP45
-stepper against a seven-stage one, and the spike scan against alternating
+root against bisection, the array cubic root against the scalar one, the
+numpy ensemble cell counter against the scalar one, the arc-transport step,
+whose stage loop runs the certified warm Newton inline, against a stage-wise
+reference (off-root guesses included, and arcs from start to end), the
+table-driven RK4 stepper against a stage-wise reference, the DP45 stepper
+against a seven-stage one, and the spike scan against alternating
 searches."""
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fhn_tis._kernels as fast
@@ -29,43 +32,127 @@ def test_cubic_root_parity_and_correctness():
         assert a == pytest.approx(oracles.bisect_leftmost_root(p, q), abs=1e-8)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(rc=st.floats(-0.5, 2.0), v=st.floats(-3.0, -0.05), offset=st.floats(-0.5, 0.5),
-       tol=st.floats(1e-6, 1.0))
-def test_warm_root_certifies_only_the_leftmost_root(rc, v, offset, tol):
-    # v is the leftmost root of v**3 - 3*rc*v + 3*w at least 1e-3 in r - v**2
-    # left of the fold, where the root is well conditioned; the guess may lie
-    # on either side of the local maximum, and whether Newton's root is kept
-    # or the closed form replaces it, the result is the leftmost root
-    gap = v * v - rc
-    assume(gap >= 1e-3 and abs(gap - tol) > 1e-9)
-    p, q = -3.0 * rc, 3.0 * (rc * v - v ** 3 / 3.0)
-    t = fast._warm_root(p, q, v + offset)
-    assert abs(t - oracles.bisect_leftmost_root(p, q)) <= 1e-12
-    full = fast.leftmost_cubic_root(p, q)
-    assert oracles.stage_status(rc, t, tol) == oracles.stage_status(rc, full, tol)
+def test_cubic_root_of_underflowing_cubics():
+    # p*m underflows to zero in the trigonometric branch: the roots of
+    # t**3 + p*t are 0 and +-sqrt(-p), and with q = -p the leftmost root is
+    # about -cbrt(q); bisection places the roots only to about 1e-16
+    for p, q, root in ((-1e-300, 0.0, -1e-150), (-1e-320, 0.0, -math.sqrt(1e-320)),
+                       (-1e-320, 1e-320, -1e-320 ** (1.0 / 3.0))):
+        t = fast.leftmost_cubic_root(p, q)
+        assert t == pytest.approx(root, rel=1e-12)
+        assert t == pytest.approx(oracles.bisect_leftmost_root(p, q), abs=1e-15)
 
 
-def test_warm_root_rejects_other_roots(monkeypatch):
-    # t**3 - 3*t has roots -sqrt(3), 0 and sqrt(3); Newton from 0.1 converges
-    # to the middle root and from 2 to the right one, so neither is kept and
-    # the closed form gives the leftmost; from -1.7 Newton's root is kept
-    closed_form = fast.leftmost_cubic_root
+def test_cubic_roots_are_quiet_where_the_closed_form_is_nan():
+    # the Cardano branch sums cube roots of inf and -inf at (inf, 1) and of
+    # NaN and -inf at (-3, inf); the sum is NaN, with no numpy warning
+    inf = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fast.leftmost_cubic_root(-3.0, inf))
+        assert math.isnan(fast.leftmost_cubic_root(inf, 1.0))
+        assert np.isnan(fast.leftmost_cubic_roots(np.array([inf, -3.0]), inf)).all()
+        assert np.isnan(fast.leftmost_cubic_roots(np.array([inf]), 1.0)).all()
+
+
+def _root_bits(p, q):
+    got = fast.leftmost_cubic_roots(p, q)
+    assert got.shape == np.shape(p) and got.dtype == np.float64
+    return got.view(np.int64).tolist()
+
+
+def _scalar_root_bits(p, q):
+    return np.array([fast.leftmost_cubic_root(x, q) for x in np.ravel(p).tolist()]
+                    ).reshape(np.shape(p)).view(np.int64).tolist()
+
+
+def test_array_cubic_roots_match_scalar_roots():
+    # one q per call: arrays that mix the Cardano branch (one real root) with
+    # the trigonometric one (three, from p < -3*(q/2)**(2/3)), double roots
+    # and the triple root at the origin, and p that are NaN, infinite or zero
+    rng = np.random.default_rng(131)
+    inf, nan = math.inf, math.nan
+    special = np.array([nan, inf, -inf, 0.0, -0.0, -3.0, -1e-300, 1e-3])
+    for q in (0.0, -0.0, 2.0, -2.0, 0.75, -1e-3, 4.8):
+        edge = -3.0 * (abs(q) / 2.0) ** (2.0 / 3.0)
+        mixed = edge + rng.uniform(-3.0, 3.0, 4000)
+        assert (mixed < edge).any() and (mixed > edge).any()
+        for p in (mixed, np.concatenate((special, mixed[:50])), special,
+                  mixed[:24].reshape(2, 3, 4), np.array([edge]), np.empty(0)):
+            assert _root_bits(p, q) == _scalar_root_bits(p, q), q
+    # the double root of t**3 - 3*t + 2 and the triple root at the origin
+    assert _root_bits(np.array([-3.0, 0.0]), 2.0) == _scalar_root_bits([-3.0, 0.0], 2.0)
+    assert _root_bits(np.array([0.0]), 0.0) == [0]
+
+
+def _newton_outcome(p, q, t0):
+    # where the warm Newton of a transport stage goes from the guess t0:
+    # kept (certified as the leftmost root), or to the middle or right root
+    certified, t = oracles.newton_leftmost(p, q, t0)
+    if certified:
+        return "kept"
+    if not math.isfinite(t):
+        return "none"
+    return "right" if t * t > -p / 3.0 else "middle"
+
+
+def test_transport_step_matches_reference_from_off_root_guesses():
+    # the step's input v is only the first stage's root and the second
+    # stage's Newton guess, so an off-root v on either side of the second
+    # stage's local maximum at -sqrt(gain) sends Newton to the middle root,
+    # to the right one, or to the leftmost one, which is kept; with a NaN
+    # tolerance the first check passes right of the fold as well. The step
+    # must give the reference's result bit for bit in every case
+    outcomes = collections.Counter()
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(rho=st.floats(0.4, 1.5), AB=st.floats(0.0, 0.3), phi0=st.floats(0.0, 6.3),
+           kappa=st.floats(0.1, 5.0), h=st.sampled_from((5e-4, 2e-3, 1e-2)),
+           fw=st.floats(-0.95, 0.95), offset=st.floats(-0.8, 0.8),
+           tol=st.sampled_from((1e-6, math.nan)))
+    def check(rho, AB, phi0, kappa, h, fw, offset, tol):
+        beta, gamma, s = 0.7, 0.6, 0.4
+        rc = rho - AB * math.cos(phi0 + kappa * s)
+        # w is within the band where the cubic has three roots, and the guess
+        # v is off the root on either side of the local maximum
+        w = fw * (2.0 / 3.0) * rc ** 1.5
+        v = -math.sqrt(rc) * (1.0 + offset)
+        args = (rho, AB, beta, gamma, kappa, phi0, s, w, v, rc, h, tol)
+        got = fast._transport_rk4(*args)
+        assert repr(got) == repr(oracles.reference_transport_rk4(*args))
+        if oracles.stage_status(rc, v, tol) == 1:
+            rc_mid = rho - AB * math.cos(phi0 + kappa * (s + h / 2.0))
+            q = 3.0 * (w + h / 2.0 * (v - gamma * w + beta))
+            outcomes[_newton_outcome(-3.0 * rc_mid, q, v)] += 1
+
+    check()
+    assert min(outcomes[k] for k in ("kept", "middle", "right")) >= 20, outcomes
+
+
+def test_transport_step_replaces_other_roots_by_the_closed_form(monkeypatch):
+    # t**3 - 3*t has roots -sqrt(3), 0 and sqrt(3), and with A = B = 0 and
+    # w = 0 every stage solves it: Newton from -0.1 converges to the middle
+    # root and from -0.9 to the right one, so the closed form replaces the
+    # second stage's root; from -1.7 Newton's root is kept and the closed form
+    # gives only the end root. A NaN tolerance lets the first two guesses,
+    # right of the local maximum, pass the first stage's check
     closed = []
+    closed_form = fast.leftmost_cubic_root
 
     def counted(p, q):
         closed.append((p, q))
         return closed_form(p, q)
 
+    # the reference step calls the closed form it imported, not the counted one
     monkeypatch.setattr(fast, "leftmost_cubic_root", counted)
-    for guess in (0.1, 2.0):
-        t = fast._warm_root(-3.0, 0.0, guess)
-        assert t == pytest.approx(-math.sqrt(3.0), abs=1e-12)
-        assert closed.pop() == (-3.0, 0.0) and not closed
-        assert oracles.newton_leftmost(-3.0, 0.0, guess)[0] is False
-    t = fast._warm_root(-3.0, 0.0, -1.7)
-    assert not closed
-    assert t == pytest.approx(-math.sqrt(3.0), abs=1e-15)
+    for guess, outcome, calls in ((-0.1, "middle", 2), (-0.9, "right", 2), (-1.7, "kept", 1)):
+        assert _newton_outcome(-3.0, 0.0, guess) == outcome
+        args = (1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, guess, 1.0, 1e-3, math.nan)
+        closed.clear()
+        got = fast._transport_rk4(*args)
+        assert len(closed) == calls and closed[0][0] == -3.0, guess
+        assert repr(got) == repr(oracles.reference_transport_rk4(*args))
+        assert got[0] == 1
 
 
 def _arc_bits(arc):
@@ -97,7 +184,7 @@ def _seeded_arcs(seed, n):
 
 
 def test_transport_arc_matches_stagewise_reference(monkeypatch):
-    # the flat step (chained stage checks, _warm_root, one p per gain) must
+    # the step's stage loop (chained stage checks, the warm Newton inline) must
     # give every arc of the stage-wise reference step bit for bit: samples,
     # bisected fold landings and terminal codes
     arcs = _seeded_arcs(113, 360)
